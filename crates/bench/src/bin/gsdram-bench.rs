@@ -10,6 +10,10 @@
 //! See `docs/PERF.md` for the metric's definition and how the report
 //! is kept honest.
 
+// D2 (docs/LINTS.md): no wall-clock reads or threads from the
+// clippy.toml method list in binaries either.
+#![deny(clippy::disallowed_methods)]
+
 use std::process::ExitCode;
 
 use gsdram_bench::args::Args;

@@ -348,18 +348,6 @@ pub fn run_named(name: &str, args: &Args) -> Result<StatsNode, String> {
     Ok(node)
 }
 
-/// `main` body for the thin experiment binaries: parse the process
-/// arguments and run `name`.
-pub fn cli_main(name: &str) -> std::process::ExitCode {
-    match run_named(name, &Args::from_env()) {
-        Ok(_) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
 // ---------------------------------------------------------------- helpers
 
 fn no_specs(_args: &Args) -> Vec<RunSpec> {
@@ -401,7 +389,10 @@ fn fig7_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
                     .text("stride", stride_label(&cfg, e.pattern)),
             ));
         }
-        // gsdram-lint: allow(D4) popped immediately after the push above
+        #[expect(
+            clippy::expect_used,
+            reason = "popped immediately after the push above"
+        )]
         let (p, node) = groups.pop().expect("just pushed");
         let cells: Vec<String> = e.elements.iter().map(|x| x.to_string()).collect();
         groups.push((p, node.text(format!("col{}", e.col.0), cells.join(" "))));
@@ -410,13 +401,13 @@ fn fig7_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
 
     // Figure 6: the shuffled mapping of four 4-field tuples
     // (value ij = tuple i, field j).
-    // gsdram-lint: allow(D4) fixed demo geometry known valid
+    #[expect(clippy::expect_used, reason = "fixed demo geometry known valid")]
     let geom = Geometry::new(&cfg, 1, 16).expect("valid geometry");
     let mut m = GsModule::new(cfg.clone(), geom);
     for t in 0..4u64 {
         let tuple: Vec<u64> = (0..4).map(|f| t * 10 + f).collect();
+        #[expect(clippy::expect_used, reason = "fixed demo row/column bounds")]
         m.write_line(RowId(0), ColumnId(t as u32), PatternId(0), true, &tuple)
-            // gsdram-lint: allow(D4) fixed demo row/column bounds
             .expect("in range");
     }
     let mut figure6 = StatsNode::new("figure6").text("chips", "chip0 chip1 chip2 chip3");
@@ -427,17 +418,17 @@ fn fig7_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
         figure6 = figure6.text(format!("col{col}"), row.join(" "));
     }
 
+    #[expect(clippy::expect_used, reason = "fixed demo row/column bounds")]
     let tuple2 = m
         .read_line(RowId(0), ColumnId(2), PatternId(0), true)
-        // gsdram-lint: allow(D4) fixed demo row/column bounds
         .expect("in range");
+    #[expect(clippy::expect_used, reason = "fixed demo row/column bounds")]
     let field0 = m
         .read_line(RowId(0), ColumnId(0), PatternId(3), true)
-        // gsdram-lint: allow(D4) fixed demo row/column bounds
         .expect("in range");
+    #[expect(clippy::expect_used, reason = "fixed demo row/column bounds")]
     let field1 = m
         .read_line(RowId(0), ColumnId(1), PatternId(3), true)
-        // gsdram-lint: allow(D4) fixed demo row/column bounds
         .expect("in range");
     let walkthrough = StatsNode::new("walkthrough_s3_4")
         .text(
@@ -613,7 +604,10 @@ fn fig11_render(_args: &Args, outs: &[RunOutcome]) -> StatsNode {
                     .gauge("analytics_mcycles", mc(o.scaled_cycles()))
                     .gauge(
                         "txn_throughput_mps",
-                        // gsdram-lint: allow(D4) htap experiment always records this extra
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "htap experiment always records this extra"
+                        )]
                         o.extra("txn_throughput_mps").expect("htap outcome"),
                     ),
             );
@@ -865,7 +859,10 @@ fn ablation_shuffle_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
         ("masked_0b011", ShuffleFn::Masked { mask: 0b011 }),
         ("xor_fold_2", ShuffleFn::XorFold { groups: 2 }),
     ] {
-        // gsdram-lint: allow(D4) fixed shuffle-fn parameters known valid
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed shuffle-fn parameters known valid"
+        )]
         let cfg = GsDramConfig::with_shuffle_fn(8, 3, 3, f).expect("valid");
         prog = prog.counter(
             name,
@@ -886,7 +883,7 @@ fn ablation_shuffle_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
 fn ablation_patterns_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
     let mut widths = StatsNode::new("pattern_id_width");
     for p_bits in [1u8, 2, 3] {
-        // gsdram-lint: allow(D4) fixed config parameters known valid
+        #[expect(clippy::expect_used, reason = "fixed config parameters known valid")]
         let cfg = GsDramConfig::new(8, 3, p_bits).expect("valid");
         let labels: Vec<String> = cfg
             .patterns()
@@ -895,7 +892,7 @@ fn ablation_patterns_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
         widths = widths.text(format!("gs_dram_8_3_{p_bits}"), labels.join("  "));
     }
 
-    // gsdram-lint: allow(D4) fixed config parameters known valid
+    #[expect(clippy::expect_used, reason = "fixed config parameters known valid")]
     let cfg = GsDramConfig::new(8, 3, 6).expect("valid");
     let mut wide = StatsNode::new("wide_pattern_ids_8_3_6");
     for p in [0u8, 7, 0b111_000, 0b111_111] {
@@ -903,14 +900,17 @@ fn ablation_patterns_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
         wide = wide.text(format!("pattern_{p:#08b}"), format!("{e:?}"));
     }
 
-    // gsdram-lint: allow(D4) fixed intra-chip parameters known valid
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed intra-chip parameters known valid"
+    )]
     let intra = IntraChipCtl::new(8, 3).expect("valid");
     let cols: Vec<u32> = intra
         .tile_columns(PatternId(7), ColumnId(0))
         .iter()
         .map(|c| c.0)
         .collect();
-    // gsdram-lint: allow(D4) fixed ECC parameters known valid
+    #[expect(clippy::expect_used, reason = "fixed ECC parameters known valid")]
     let ecc = EccGather::new(8, 3).expect("valid");
     let mut all_covered = true;
     for p in 0..8u8 {
@@ -1049,7 +1049,10 @@ fn ablation_scheduler_render(_args: &Args, outs: &[RunOutcome]) -> StatsNode {
                     .gauge("analytics_mcycles", mc(o.scaled_cycles()))
                     .gauge(
                         "txn_throughput_mps",
-                        // gsdram-lint: allow(D4) htap experiment always records this extra
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "htap experiment always records this extra"
+                        )]
                         o.extra("txn_throughput_mps").expect("htap outcome"),
                     ),
             );
@@ -1125,7 +1128,10 @@ fn ablation_sched_render(_args: &Args, outs: &[RunOutcome]) -> StatsNode {
                     .gauge("analytics_mcycles", mc(o.scaled_cycles()))
                     .gauge(
                         "txn_throughput_mps",
-                        // gsdram-lint: allow(D4) htap experiment always records this extra
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "htap experiment always records this extra"
+                        )]
                         o.extra("txn_throughput_mps").expect("htap outcome"),
                     )
                     .gauge("row_hit_rate", d.row_hit_rate())
@@ -1338,7 +1344,7 @@ fn ablation_impulse_render(_args: &Args, outs: &[RunOutcome]) -> StatsNode {
 fn extension_ecc_render(args: &Args, _outs: &[RunOutcome]) -> StatsNode {
     let trials = args.u64("--trials", 20_000);
     let cfg = GsDramConfig::gs_dram_8_3_3();
-    // gsdram-lint: allow(D4) fixed demo geometry known valid
+    #[expect(clippy::expect_used, reason = "fixed demo geometry known valid")]
     let geom = Geometry::ddr3_row(&cfg, 1).expect("valid");
     let mut rng = SplitMix(2026);
     let mut patterns = Vec::new();
@@ -1352,8 +1358,11 @@ fn extension_ecc_render(args: &Args, _outs: &[RunOutcome]) -> StatsNode {
             let mut m = EccModule::new(cfg.clone(), geom);
             let col = ColumnId(rng.below(128) as u32);
             let line: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "column and pattern drawn within geometry bounds"
+            )]
             m.write_line(RowId(0), col, PatternId(p), true, &line)
-                // gsdram-lint: allow(D4) column and pattern drawn within geometry bounds
                 .expect("in range");
             let word = rng.below(8) as usize;
             let double = t >= singles;
@@ -1368,9 +1377,12 @@ fn extension_ecc_render(args: &Args, _outs: &[RunOutcome]) -> StatsNode {
                 1u64 << rng.below(64)
             };
             m.inject_data_error(RowId(0), col, PatternId(p), true, word, bits);
+            #[expect(
+                clippy::expect_used,
+                reason = "column and pattern drawn within geometry bounds"
+            )]
             let read = m
                 .read_line(RowId(0), col, PatternId(p), true)
-                // gsdram-lint: allow(D4) column and pattern drawn within geometry bounds
                 .expect("in range");
             match read.outcomes[word] {
                 Decode::Corrected(v) if !double => {

@@ -8,6 +8,18 @@
 //! ([`perf`]) behind `gsdram-bench perf`, and the micro-benchmark
 //! harness ([`micro`]) used by the `benches/` targets.
 
+// The determinism contract (docs/LINTS.md), for non-test code: no wall
+// clock and no threads outside the waived harness sites
+// (crates/bench/clippy.toml), no panicking shortcuts.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -5,8 +5,7 @@
 //! timing via [`std::time::Instant`], and a name filter from argv so
 //! `cargo bench --bench substrate -- shuffle` works as expected.
 
-// gsdram-lint: allow(D2) wall-clock ns/iter is this harness's deliverable, not simulation state
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use std::hint::black_box;
 
@@ -51,8 +50,12 @@ impl Runner {
         f(); // warm-up
         let mut iters: u64 = 1;
         loop {
-            // gsdram-lint: allow(D2) wall-clock ns/iter is this harness's deliverable, not simulation state
-            let start = Instant::now();
+            #[expect(
+                clippy::disallowed_types,
+                clippy::disallowed_methods,
+                reason = "wall-clock ns/iter is this harness's deliverable, not simulation state"
+            )]
+            let start = std::time::Instant::now();
             for _ in 0..iters {
                 f();
             }

@@ -96,7 +96,11 @@ impl PerfRow {
 /// simulator throughput).
 fn measure(def: &ExperimentDef, args: &Args) -> PerfRow {
     let specs = (def.specs)(args);
-    // gsdram-lint: allow(D2) wall-clock throughput is this mode's deliverable, not simulation state
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "wall-clock throughput is this mode's deliverable, not simulation state"
+    )]
     let start = std::time::Instant::now();
     let outcomes = sweep::run(&specs, SweepMode::Serial);
     let wall_seconds = start.elapsed().as_secs_f64();
@@ -193,8 +197,12 @@ fn run_stream(
     };
     let mut next = 0usize;
     let mut horizon = WAVE_SPAN;
-    // gsdram-lint: allow-block(D2) wall-clock throughput is this mode's deliverable, not simulation state
     let mut wall = 0.0f64;
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "wall-clock throughput is this mode's deliverable, not simulation state"
+    )]
     while next < stream.len() {
         while next < stream.len() && stream[next].2 < horizon {
             let (ch, req, at) = stream[next];
@@ -213,7 +221,11 @@ fn run_stream(
     }
     // Drain the backlog the oversubscribed pacing built up; keep
     // advancing in waves so the sharded run stays forked to the end.
-    // gsdram-lint: allow-block(D2) wall-clock throughput is this mode's deliverable, not simulation state
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "wall-clock throughput is this mode's deliverable, not simulation state"
+    )]
     while ctls.iter().any(|c| c.pending() > 0) {
         horizon += WAVE_SPAN;
         let start = std::time::Instant::now();
@@ -315,7 +327,10 @@ pub fn run(args: &Args) -> String {
 /// The recording machine's available parallelism, stamped into the
 /// report so shard speedups can be read in context.
 fn harness_threads() -> usize {
-    // gsdram-lint: allow(D8) reads the hardware thread count for the report stamp; spawns nothing
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reads the hardware thread count for the report stamp; spawns nothing"
+    )]
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 

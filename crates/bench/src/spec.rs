@@ -656,8 +656,8 @@ impl RunSpec {
             WorkloadSpec::Gemm { n, variant, sample } => {
                 let g = Gemm::create(&mut m, *n, *variant);
                 g.init(&mut m);
-                let (mut p, s) = gemm_program(g, *sample);
-                scale = s;
+                let (mut p, (full, simulated)) = gemm_program(g, *sample);
+                scale = full as f64 / simulated as f64;
                 run_all(&mut m, &mut p)
             }
             WorkloadSpec::Filter {

@@ -8,9 +8,6 @@
 //! [`run_serial`] (a property `crates/bench/tests/engine.rs` proves on
 //! real experiments).
 
-// gsdram-lint: allow(D8) the sweep runner is the one sanctioned parallel site; parallel ≡ serial is proven in tests/engine.rs
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use gsdram_telemetry::Telemetry;
 
 use crate::spec::{RunOutcome, RunSpec};
@@ -37,7 +34,10 @@ impl SweepMode {
 }
 
 fn default_threads() -> usize {
-    // gsdram-lint: allow(D8) thread-count discovery only; never touches sim state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "thread-count discovery only; never touches sim state"
+    )]
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -47,7 +47,11 @@ fn default_threads() -> usize {
 /// [`run_traced`]: workers claim indices from a shared counter and
 /// return `(index, result)` lists; the parent scatters them back into
 /// input order, so completion order never shows in the result.
-// gsdram-lint: allow-block(D8) the sanctioned parallel engine: workers claim indices off one counter, results scatter to input-order slots, bit-identical to serial per tests/engine.rs
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanctioned parallel engine: workers claim indices off one counter, results scatter to input-order slots, bit-identical to serial per tests/engine.rs"
+)]
 fn run_parallel_with<T: Send>(
     specs: &[RunSpec],
     threads: usize,
@@ -62,7 +66,7 @@ fn run_parallel_with<T: Send>(
     if threads <= 1 {
         return specs.iter().map(exec).collect();
     }
-    let next = AtomicUsize::new(0);
+    let next = std::sync::atomic::AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(specs.len(), || None);
     std::thread::scope(|scope| {
@@ -74,7 +78,7 @@ fn run_parallel_with<T: Send>(
                 handles.push(scope.spawn(move || {
                     let mut mine = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         if i >= specs.len() {
                             break;
                         }
@@ -83,9 +87,12 @@ fn run_parallel_with<T: Send>(
                     mine
                 }));
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a panicked worker must abort the sweep, not yield partial figures"
+            )]
             handles
                 .into_iter()
-                // gsdram-lint: allow(D4) a panicked worker must abort the sweep, not yield partial figures
                 .map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
         };
@@ -93,9 +100,12 @@ fn run_parallel_with<T: Send>(
             slots[i] = Some(outcome);
         }
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "the scoped threads above filled every slot exactly once"
+    )]
     slots
         .into_iter()
-        // gsdram-lint: allow(D4) the scoped threads above filled every slot exactly once
         .map(|s| s.expect("every spec executed"))
         .collect()
 }

@@ -105,7 +105,12 @@ impl ReportStats for CacheStats {
 
 impl CacheStats {
     /// Miss ratio over all lookups.
-    // gsdram-lint: allow-block(D5) report-only ratio; never feeds simulated timing
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        clippy::as_conversions,
+        reason = "report-only ratio; never feeds simulated timing"
+    )]
     pub fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -284,12 +289,12 @@ impl SetAssocCache {
             set[pos] = new_slot;
             return None;
         }
+        #[expect(clippy::expect_used, reason = "set.len() == assoc >= 1 on this path")]
         let pos = set
             .iter()
             .enumerate()
             .min_by_key(|(_, s)| s.lru)
             .map(|(i, _)| i)
-            // gsdram-lint: allow(D4) set.len() == assoc >= 1 on this path
             .expect("set is non-empty");
         let victim = std::mem::replace(&mut set[pos], new_slot);
         self.stats.evictions += 1;

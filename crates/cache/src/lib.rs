@@ -29,6 +29,21 @@
 //! assert_eq!(fields.len(), 8);
 //! ```
 
+// The determinism contract (docs/LINTS.md), for non-test code: the
+// clippy.toml type and method lists, no panicking shortcuts,
+// integer-only simulation state and no bare `as` casts.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::float_arithmetic,
+        clippy::default_numeric_fallback,
+        clippy::as_conversions
+    )
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

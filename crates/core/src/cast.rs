@@ -5,8 +5,9 @@
 //! byte addresses, `u32` row/column ids, and `usize` indices. A bare
 //! `as` cast there silently truncates when a geometry outgrows a
 //! field — exactly the kind of bug that only bites on a config nobody
-//! diffed. Rule D3 of `gsdram-lint` bans bare `as` casts in those
-//! files; these helpers are the sanctioned replacement.
+//! diffed. Rule D3 (`clippy::as_conversions`, denied in those files;
+//! see docs/LINTS.md) bans bare `as` casts there; these helpers are
+//! the sanctioned replacement.
 //!
 //! Every narrowing helper panics with a named-value message on
 //! truncation (an address that does not fit its field is a modelling

@@ -81,14 +81,20 @@ impl GsDramConfig {
     /// The paper's explanatory configuration: 4 chips, 2 shuffle stages,
     /// 2-bit pattern IDs (32-byte cache lines).
     pub fn gs_dram_4_2_2() -> Self {
-        // gsdram-lint: allow(D4) constant parameters; validated by the config tests
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameters; validated by the config tests"
+        )]
         Self::new(4, 2, 2).expect("4,2,2 is a valid configuration")
     }
 
     /// The paper's evaluated configuration: 8 chips, 3 shuffle stages,
     /// 3-bit pattern IDs (64-byte cache lines) — §3.6, Table 1.
     pub fn gs_dram_8_3_3() -> Self {
-        // gsdram-lint: allow(D4) constant parameters; validated by the config tests
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameters; validated by the config tests"
+        )]
         Self::new(8, 3, 3).expect("8,3,3 is a valid configuration")
     }
 

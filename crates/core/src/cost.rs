@@ -6,6 +6,12 @@
 //! that arithmetic for any `GS-DRAM(c,s,p)` so the claims are checkable
 //! and parameter sweeps can report cost alongside benefit.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "float leaf: report values derived from finished integer counters; never feeds simulated timing"
+)]
+
 use crate::GsDramConfig;
 
 /// DRAM-side costs: the per-module column translation logic.

@@ -66,7 +66,7 @@ pub fn encode(data: u64) -> u8 {
     // Overall parity over data + the 7 Hamming bits (for double-error
     // detection).
     let total = (data.count_ones() + (check & 0x7f).count_ones()) & 1;
-    check |= (total as u8) << 7;
+    check |= (total as u8) << 7_u32;
     check
 }
 
@@ -240,14 +240,20 @@ impl EccModule {
             } else {
                 s.chip as usize
             };
+        #[expect(
+            clippy::expect_used,
+            reason = "element < chips * cols by the modulo arithmetic above"
+        )]
         let v = self
             .data
             .read_element(row, element, shuffled)
-            // gsdram-lint: allow(D4) element < chips * cols by the modulo arithmetic above
             .expect("in range");
+        #[expect(
+            clippy::expect_used,
+            reason = "same element just read successfully on this row"
+        )]
         self.data
             .write_element(row, element, shuffled, v ^ bits)
-            // gsdram-lint: allow(D4) same element just read successfully on this row
             .expect("in range");
     }
 }

@@ -8,11 +8,18 @@
 //! small recursive-descent parser in the same hand-rolled style.
 //!
 //! The writer ([`Json::to_json_string`] / [`Json::to_json_pretty`])
-//! exists for consumers that need *byte-stable* output to diff in CI —
-//! `gsdram-lint --format json` and its committed waiver baseline.
+//! exists for consumers that need *byte-stable* output to diff — the
+//! committed waiver inventory `lint_waivers.json` that
+//! `tests/source_contract.rs` renders and compares.
 //! Object members serialize in their source order, so a caller that
 //! builds members from sorted keys gets deterministic bytes; the
 //! writer never reorders.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::default_numeric_fallback,
+    reason = "float leaf: JSON numbers are held as f64; simulation inputs read them through the float-free as_u64"
+)]
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

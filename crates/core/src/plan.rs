@@ -44,7 +44,11 @@ pub struct PlanStats {
 
 impl PlanStats {
     /// Fraction of transferred words that were wanted.
-    // gsdram-lint: allow-block(D5) report-only ratio; never feeds simulated timing
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-only ratio; never feeds simulated timing"
+    )]
     pub fn efficiency(&self) -> f64 {
         if self.total_words == 0 {
             0.0
@@ -121,7 +125,10 @@ pub fn plan_stride(
                 _ => best = Some((score, candidate)),
             }
         }
-        // gsdram-lint: allow(D4) pattern 0 (unit stride) always produces a candidate line
+        #[expect(
+            clippy::expect_used,
+            reason = "pattern 0 (unit stride) always produces a candidate line"
+        )]
         let (_, access) = best.expect("at least pattern 0 exists");
         debug_assert!(
             !access.useful.is_empty(),

@@ -20,6 +20,11 @@
 //! are equal only if values and children appear in the same order,
 //! which deterministic simulation guarantees.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "float leaf: report values derived from finished integer counters; never feeds simulated timing"
+)]
+
 use std::fmt::Write as _;
 
 /// One named measurement inside a [`StatsNode`].

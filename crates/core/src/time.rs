@@ -27,8 +27,8 @@
 //!    (issues a command, fires a refresh, retires a request).
 //!
 //! Direct clock mutation (`now += 1`-style unit ticking) outside this
-//! module is forbidden in simulation crates — `gsdram-lint` rule D7
-//! enforces it.
+//! module is forbidden in simulation crates — rule D7, enforced by the
+//! workspace's `tests/source_contract.rs`.
 
 /// Folds component horizons into the earliest "next interesting cycle".
 ///

@@ -198,30 +198,51 @@ impl ControllerStats {
     /// Folds another controller's counters into this one — the one
     /// aggregation point for multi-channel/multi-controller totals.
     pub fn merge(&mut self, other: &Self) {
+        // Exhaustive on purpose (rule D9): a new field does not compile
+        // until this fold handles it.
+        let Self {
+            reads,
+            writes,
+            row_hits,
+            row_closed,
+            row_conflicts,
+            activates,
+            precharges,
+            refreshes,
+            total_read_latency,
+            min_read_latency,
+            max_read_latency,
+            bus_busy_cycles,
+            sched_hit_bypasses,
+            sched_promotions,
+            sched_batch_rotations,
+            drain_entries,
+            drain_exits,
+        } = *other;
         // min/max only mean something when their side has reads.
-        if other.reads > 0 {
+        if reads > 0 {
             self.min_read_latency = if self.reads == 0 {
-                other.min_read_latency
+                min_read_latency
             } else {
-                self.min_read_latency.min(other.min_read_latency)
+                self.min_read_latency.min(min_read_latency)
             };
-            self.max_read_latency = self.max_read_latency.max(other.max_read_latency);
+            self.max_read_latency = self.max_read_latency.max(max_read_latency);
         }
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.row_closed += other.row_closed;
-        self.row_conflicts += other.row_conflicts;
-        self.activates += other.activates;
-        self.precharges += other.precharges;
-        self.refreshes += other.refreshes;
-        self.total_read_latency += other.total_read_latency;
-        self.bus_busy_cycles += other.bus_busy_cycles;
-        self.sched_hit_bypasses += other.sched_hit_bypasses;
-        self.sched_promotions += other.sched_promotions;
-        self.sched_batch_rotations += other.sched_batch_rotations;
-        self.drain_entries += other.drain_entries;
-        self.drain_exits += other.drain_exits;
+        self.reads += reads;
+        self.writes += writes;
+        self.row_hits += row_hits;
+        self.row_closed += row_closed;
+        self.row_conflicts += row_conflicts;
+        self.activates += activates;
+        self.precharges += precharges;
+        self.refreshes += refreshes;
+        self.total_read_latency += total_read_latency;
+        self.bus_busy_cycles += bus_busy_cycles;
+        self.sched_hit_bypasses += sched_hit_bypasses;
+        self.sched_promotions += sched_promotions;
+        self.sched_batch_rotations += sched_batch_rotations;
+        self.drain_entries += drain_entries;
+        self.drain_exits += drain_exits;
     }
 
     /// Total scheduler/write-drain decisions recorded (0 under the
@@ -247,7 +268,11 @@ impl ControllerStats {
     }
 
     /// Mean read latency in memory cycles.
-    // gsdram-lint: allow-block(D5) report-only ratio; never feeds simulated timing
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-only ratio; never feeds simulated timing"
+    )]
     pub fn avg_read_latency(&self) -> f64 {
         if self.reads == 0 {
             0.0
@@ -257,7 +282,11 @@ impl ControllerStats {
     }
 
     /// Data-bus utilisation over `elapsed` memory cycles.
-    // gsdram-lint: allow-block(D5) report-only ratio; never feeds simulated timing
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-only ratio; never feeds simulated timing"
+    )]
     pub fn bus_utilisation(&self, elapsed: u64) -> f64 {
         if elapsed == 0 {
             0.0
@@ -267,7 +296,11 @@ impl ControllerStats {
     }
 
     /// Row-hit rate over all column commands.
-    // gsdram-lint: allow-block(D5) report-only ratio; never feeds simulated timing
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-only ratio; never feeds simulated timing"
+    )]
     pub fn row_hit_rate(&self) -> f64 {
         let total = self.row_hits + self.row_closed + self.row_conflicts;
         if total == 0 {
@@ -978,7 +1011,10 @@ impl MemController {
                 // against it.
                 let oldest_seq = queue.iter().fold(u64::MAX, |m, p| m.min(p.seq));
                 let p = queue.swap_remove(idx);
-                // gsdram-lint: allow(D4) issue() returns a data window for every column command
+                #[expect(
+                    clippy::expect_used,
+                    reason = "issue() returns a data window for every column command"
+                )]
                 let at_done = data_end.expect("column command returns completion");
                 self.completions.push(Completion {
                     id: p.req.id,

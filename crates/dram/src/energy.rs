@@ -9,6 +9,13 @@
 //! Currents are per chip; a rank multiplies by the chip count. The
 //! defaults are representative of a 2 Gb x8 DDR3-1600 device.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    clippy::default_numeric_fallback,
+    reason = "float leaf: report values derived from finished integer counters; never feeds simulated timing"
+)]
+
 use crate::timing::{Cycles, TimingParams};
 use gsdram_core::stats::{ReportStats, StatsNode};
 
@@ -119,12 +126,22 @@ impl EnergyBreakdown {
     /// Folds another rank's energy into this one — the one aggregation
     /// point for multi-channel/multi-rank totals.
     pub fn merge(&mut self, other: &Self) {
-        self.activation_nj += other.activation_nj;
-        self.read_nj += other.read_nj;
-        self.write_nj += other.write_nj;
-        self.refresh_nj += other.refresh_nj;
-        self.background_nj += other.background_nj;
-        self.io_nj += other.io_nj;
+        // Exhaustive on purpose (rule D9): a new field does not compile
+        // until this fold handles it.
+        let Self {
+            activation_nj,
+            read_nj,
+            write_nj,
+            refresh_nj,
+            background_nj,
+            io_nj,
+        } = *other;
+        self.activation_nj += activation_nj;
+        self.read_nj += read_nj;
+        self.write_nj += write_nj;
+        self.refresh_nj += refresh_nj;
+        self.background_nj += background_nj;
+        self.io_nj += io_nj;
     }
 
     /// Total energy in nanojoules.

@@ -24,6 +24,10 @@
 //! uses identity stages everywhere, matching the paper's Table 1
 //! system (1 channel × 1 rank × 8 banks).
 
+// D3 (docs/LINTS.md): addresses move between widths only through
+// gsdram_core::cast, never a bare `as`.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::command::BankId;
 use gsdram_core::{cast, ColumnId, RowId};
 

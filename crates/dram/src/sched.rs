@@ -206,23 +206,29 @@ pub trait Scheduler: std::fmt::Debug + Send {
 /// — the classic FR-FCFS global ordering. `seq` is unique per queue,
 /// so the minimum is unambiguous.
 fn select_first_ready(cands: &[Candidate]) -> usize {
+    #[expect(
+        clippy::expect_used,
+        reason = "the controller never schedules an empty candidate list"
+    )]
     cands
         .iter()
         .enumerate()
         .min_by_key(|(_, c)| (c.ready, !c.is_hit, c.seq))
         .map(|(i, _)| i)
-        // gsdram-lint: allow(D4) the controller never schedules an empty candidate list
         .expect("select on empty candidate list")
 }
 
 /// Picks the index of the oldest candidate (minimum `seq`).
 fn select_oldest(cands: &[Candidate]) -> usize {
+    #[expect(
+        clippy::expect_used,
+        reason = "the controller never schedules an empty candidate list"
+    )]
     cands
         .iter()
         .enumerate()
         .min_by_key(|(_, c)| c.seq)
         .map(|(i, _)| i)
-        // gsdram-lint: allow(D4) the controller never schedules an empty candidate list
         .expect("select on empty candidate list")
 }
 
@@ -349,12 +355,15 @@ impl Scheduler for BankRr {
     }
 
     fn select(&self, cands: &[Candidate]) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "the controller never schedules an empty candidate list"
+        )]
         cands
             .iter()
             .enumerate()
             .min_by_key(|(_, c)| (c.ready, self.distance(self.slot(c.rank, c.bank)), c.seq))
             .map(|(i, _)| i)
-            // gsdram-lint: allow(D4) the controller never schedules an empty candidate list
             .expect("select on empty candidate list")
     }
 

@@ -108,7 +108,11 @@ impl TimingParams {
     }
 
     /// Converts a cycle count to nanoseconds.
-    // gsdram-lint: allow-block(D5) report-axis unit conversion; never feeds simulated timing
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-axis unit conversion; never feeds simulated timing"
+    )]
     pub fn cycles_to_ns(&self, cycles: Cycles) -> f64 {
         cycles as f64 * self.tck_ps as f64 / 1000.0
     }

@@ -505,7 +505,7 @@ impl PatternSpec {
     /// the data + index footprint plus slack, at least 8 MiB, power
     /// of two.
     pub fn mem_bytes_hint(&self) -> usize {
-        let bytes = (self.elements + self.pattern.count() + (1 << 17)) * 8 * 2;
+        let bytes = (self.elements + self.pattern.count() + (1 << 17_u32)) * 8 * 2;
         (bytes as usize).next_power_of_two().max(8 << 20)
     }
 

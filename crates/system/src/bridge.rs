@@ -21,6 +21,10 @@
 //! per-bridge scratch buffers, so steady-state fetch/writeback traffic
 //! does not allocate.
 
+// D3 (docs/LINTS.md): addresses move between widths only through
+// gsdram_core::cast, never a bare `as`.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use std::collections::BTreeMap;
 
 use gsdram_cache::cache::LineKey;
@@ -75,7 +79,7 @@ pub(crate) struct FetchDone {
     /// Whether the line travelled the shuffle datapath.
     pub(crate) shuffled: bool,
     /// Whether a demand access (vs only a prefetch) requested it.
-    #[allow(dead_code)]
+    #[expect(dead_code, reason = "kept for Debug output; no consumer reads it yet")]
     pub(crate) demand: bool,
     /// Cores to wake and requests to finish.
     pub(crate) waiters: Vec<Waiter>,
@@ -98,8 +102,11 @@ impl ChannelLoadStats {
     /// Folds another channel's load into this one — the aggregation
     /// point the per-channel merge-exactness test exercises.
     pub fn merge(&mut self, other: &Self) {
-        self.reads += other.reads;
-        self.writes += other.writes;
+        // Exhaustive on purpose (rule D9): a new field does not compile
+        // until this fold handles it.
+        let Self { reads, writes } = *other;
+        self.reads += reads;
+        self.writes += writes;
     }
 }
 
@@ -158,7 +165,10 @@ pub struct DramBridge {
 impl DramBridge {
     pub(crate) fn new(cfg: &SystemConfig) -> Self {
         let rows = cfg.memory_bytes / cast::to_usize(cfg.row_bytes());
-        // gsdram-lint: allow(D4) rows.max(1) keeps the geometry constructor total
+        #[expect(
+            clippy::expect_used,
+            reason = "rows.max(1) keeps the geometry constructor total"
+        )]
         let geom = Geometry::ddr3_row(&cfg.gsdram, rows.max(1)).expect("valid geometry");
         DramBridge {
             module: GsModule::new(cfg.gsdram.clone(), geom),
@@ -227,9 +237,12 @@ impl DramBridge {
         let shuffled = pages.info(addr).shuffle;
         let (row, col, word) = self.row_col(addr);
         let element = cast::index(col.0) * self.chips + word;
+        #[expect(
+            clippy::expect_used,
+            reason = "row/element derive from an address the page table vetted"
+        )]
         self.module
             .write_element(row, element, shuffled, value)
-            // gsdram-lint: allow(D4) row/element derive from an address the page table vetted
             .expect("poke within modelled memory");
     }
 
@@ -238,9 +251,12 @@ impl DramBridge {
         let shuffled = pages.info(addr).shuffle;
         let (row, col, word) = self.row_col(addr);
         let element = cast::index(col.0) * self.chips + word;
+        #[expect(
+            clippy::expect_used,
+            reason = "row/element derive from an address the page table vetted"
+        )]
         self.module
             .read_element(row, element, shuffled)
-            // gsdram-lint: allow(D4) row/element derive from an address the page table vetted
             .expect("peek within modelled memory")
     }
 
@@ -253,9 +269,12 @@ impl DramBridge {
         for (a, v) in addrs.iter().zip(data) {
             let (row, col, word) = self.row_col(*a);
             let element = cast::index(col.0) * self.chips + word;
+            #[expect(
+                clippy::expect_used,
+                reason = "word addresses come from OverlapCalc over a resident line"
+            )]
             self.module
                 .write_element(row, element, shuffled, *v)
-                // gsdram-lint: allow(D4) word addresses come from OverlapCalc over a resident line
                 .expect("writeback within modelled memory");
         }
         self.addr_buf = addrs;
@@ -273,9 +292,12 @@ impl DramBridge {
             let (row, col, word) = self.row_col(*a);
             let element = cast::index(col.0) * self.chips + word;
             out.push(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "word addresses come from OverlapCalc over a resident line"
+                )]
                 self.module
                     .read_element(row, element, shuffled)
-                    // gsdram-lint: allow(D4) word addresses come from OverlapCalc over a resident line
                     .expect("fetch within modelled memory"),
             );
         }
@@ -421,7 +443,10 @@ impl DramBridge {
         let Some(&id) = self.by_key.get(&key) else {
             return false;
         };
-        // gsdram-lint: allow(D4) by_key and outstanding are inserted/removed together
+        #[expect(
+            clippy::expect_used,
+            reason = "by_key and outstanding are inserted/removed together"
+        )]
         let out = self.outstanding.get_mut(&id).expect("tracked");
         out.demand = true;
         out.waiters.push(waiter);
@@ -510,7 +535,10 @@ impl DramBridge {
         });
         let parent = self.parent_of.remove(&c.id)?;
         {
-            // gsdram-lint: allow(D4) parent_of entries are created with their outstanding entry
+            #[expect(
+                clippy::expect_used,
+                reason = "parent_of entries are created with their outstanding entry"
+            )]
             let out = self.outstanding.get_mut(&parent).expect("parent tracked");
             out.done_at = out.done_at.max(c.at);
             out.remaining -= 1;
@@ -518,7 +546,10 @@ impl DramBridge {
                 return None; // an Impulse gather is still collecting lines
             }
         }
-        // gsdram-lint: allow(D4) remaining just hit zero, the entry is still present
+        #[expect(
+            clippy::expect_used,
+            reason = "remaining just hit zero, the entry is still present"
+        )]
         let out = self.outstanding.remove(&parent).expect("parent tracked");
         self.by_key.remove(&out.key);
         Some(FetchDone {
@@ -598,7 +629,7 @@ impl Machine {
         if self.hier.l2.contains(done.key) {
             self.hier.l2.probe(done.key, false);
             buf.clear();
-            // gsdram-lint: allow(D4) contains() held on the line above
+            #[expect(clippy::expect_used, reason = "contains() held on the line above")]
             buf.extend_from_slice(self.hier.l2.data(done.key).expect("resident"));
         } else {
             self.bridge.read_line_into(&self.pages, done.key, &mut buf);
@@ -615,15 +646,17 @@ impl Machine {
                 self.drain_writebacks(done_cpu);
             }
             let word = w.req.word_index(64);
+            #[expect(
+                clippy::expect_used,
+                reason = "fill_l1 ran above for any core missing the line"
+            )]
             let value = if let Some(v) = w.req.store_value() {
                 self.invalidate_overlaps_on_store(w.core, done.key, done_cpu);
                 self.hier.l1[w.core].probe(done.key, true);
-                // gsdram-lint: allow(D4) fill_l1 ran above for any core missing the line
                 let d = self.hier.l1[w.core].data_mut(done.key).expect("filled");
                 d[word] = v;
                 v
             } else {
-                // gsdram-lint: allow(D4) fill_l1 ran above for any core missing the line
                 self.hier.l1[w.core].data(done.key).expect("filled")[word]
             };
             if w.req.store_value().is_none() {

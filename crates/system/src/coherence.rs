@@ -110,7 +110,10 @@ impl CoherenceEngine {
             // an L1 dirty copy of the same line, so L2 goes first and a
             // flushed L1 line additionally drops any stale L2 copy.
             if hier.l2.is_dirty(okey) {
-                // gsdram-lint: allow(D4) is_dirty(okey) above implies the line is resident
+                #[expect(
+                    clippy::expect_used,
+                    reason = "is_dirty(okey) above implies the line is resident"
+                )]
                 let ev = hier.l2.invalidate(okey).expect("resident");
                 events.emit(|| SimEvent::OverlapFlush {
                     addr: okey.addr,
@@ -122,7 +125,10 @@ impl CoherenceEngine {
             let mut l1_was_dirty = false;
             for c in 0..hier.l1.len() {
                 if hier.l1[c].is_dirty(okey) {
-                    // gsdram-lint: allow(D4) is_dirty(okey) above implies the line is resident
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "is_dirty(okey) above implies the line is resident"
+                    )]
                     let ev = hier.l1[c].invalidate(okey).expect("resident");
                     events.emit(|| SimEvent::OverlapFlush {
                         addr: okey.addr,

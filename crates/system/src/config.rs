@@ -37,7 +37,10 @@ pub struct SystemConfig {
     /// Number of in-order cores.
     pub cores: usize,
     /// CPU clock in GHz (used with the DRAM clock for cycle conversion).
-    // gsdram-lint: allow(D5) report axis only; cycle conversion uses integer cpu_per_mem
+    #[expect(
+        clippy::disallowed_types,
+        reason = "report axis only; cycle conversion uses integer cpu_per_mem"
+    )]
     pub cpu_ghz: f64,
     /// CPU cycles per memory-controller cycle (4 GHz / 800 MHz = 5).
     pub cpu_per_mem: u64,
@@ -72,13 +75,19 @@ pub struct SystemConfig {
     pub shard: bool,
 }
 
+/// Table 1 processor clock in GHz.
+#[expect(
+    clippy::disallowed_types,
+    reason = "report axis only; cycle conversion uses integer cpu_per_mem"
+)]
+const TABLE1_CPU_GHZ: f64 = 4.0;
+
 impl SystemConfig {
     /// The Table 1 system with the given core count and memory size.
     pub fn table1(cores: usize, memory_bytes: usize) -> Self {
         SystemConfig {
             cores,
-            // gsdram-lint: allow(D5) report axis only; cycle conversion uses integer cpu_per_mem
-            cpu_ghz: 4.0,
+            cpu_ghz: TABLE1_CPU_GHZ,
             cpu_per_mem: 5,
             l1: CacheConfig::l1_32k(),
             l2: CacheConfig::l2_2m(),
@@ -162,7 +171,11 @@ impl SystemConfig {
     }
 
     /// Seconds represented by `cpu_cycles`.
-    // gsdram-lint: allow-block(D5) report-axis unit conversion; never feeds simulated timing
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "report-axis unit conversion; never feeds simulated timing"
+    )]
     pub fn seconds(&self, cpu_cycles: u64) -> f64 {
         cpu_cycles as f64 / (self.cpu_ghz * 1e9)
     }

@@ -7,6 +7,12 @@
 //! constants representative of a small in-order core at 4 GHz in a
 //! ~22 nm-class process.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "float leaf: report values derived from finished integer counters; never feeds simulated timing"
+)]
+
 use crate::config::SystemConfig;
 use gsdram_core::stats::{ReportStats, StatsNode};
 use gsdram_dram::energy::EnergyBreakdown;

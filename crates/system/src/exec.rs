@@ -14,6 +14,11 @@ use gsdram_core::port::{MemReq, ReqKind};
 use crate::machine::Machine;
 use crate::ops::{Op, Program};
 
+/// CPU cycles of dispatch bandwidth every op spends in its core's issue
+/// slot. This is a per-op cost, not a stepped simulation clock: core
+/// clocks otherwise leap by op latencies and to memory completions.
+const ISSUE_SLOT_CYCLES: u64 = 1;
+
 /// When a [`Machine::run`] ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopWhen {
@@ -166,8 +171,7 @@ impl Machine {
                 Some(op) => {
                     let core = self.cores.core_mut(i);
                     core.ops += 1;
-                    // gsdram-lint: allow(D7) the issue slot spends one cycle of dispatch bandwidth per op; it is not a stepped simulation clock
-                    core.time += 1; // issue slot
+                    core.time += ISSUE_SLOT_CYCLES;
                     match op {
                         Op::Compute(c) => {
                             self.cores.core_mut(i).time += c as u64;

@@ -88,9 +88,12 @@ impl CacheHier {
             slot.copy_from_slice(data);
         } else {
             let l2_ev = self.l2.fill_from(key, data);
+            #[expect(
+                clippy::expect_used,
+                reason = "fill_from on the line above made the key resident"
+            )]
             self.l2
                 .data_mut(key)
-                // gsdram-lint: allow(D4) fill_from on the line above made the key resident
                 .expect("just filled")
                 .copy_from_slice(data);
             events.emit(|| SimEvent::CacheFill {
@@ -158,7 +161,10 @@ impl CacheHier {
             if c == core || !self.l1[c].is_dirty(key) {
                 continue;
             }
-            // gsdram-lint: allow(D4) is_dirty(key) above implies the line is resident
+            #[expect(
+                clippy::expect_used,
+                reason = "is_dirty(key) above implies the line is resident"
+            )]
             let ev = self.l1[c].invalidate(key).expect("resident");
             self.merge_dirty_into_l2(key, &ev.data, wb, events);
         }
@@ -171,7 +177,10 @@ impl CacheHier {
         let mut dirty: Vec<(LineKey, Vec<u64>)> = Vec::new();
         for key in self.l2.resident_keys() {
             if self.l2.is_dirty(key) {
-                // gsdram-lint: allow(D4) is_dirty(key) above implies the line is resident
+                #[expect(
+                    clippy::expect_used,
+                    reason = "is_dirty(key) above implies the line is resident"
+                )]
                 let ev = self.l2.invalidate(key).expect("resident");
                 dirty.push((ev.key, ev.data));
             }
@@ -179,7 +188,10 @@ impl CacheHier {
         for l1 in &mut self.l1 {
             for key in l1.resident_keys() {
                 if l1.is_dirty(key) {
-                    // gsdram-lint: allow(D4) is_dirty(key) above implies the line is resident
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "is_dirty(key) above implies the line is resident"
+                    )]
                     let ev = l1.invalidate(key).expect("resident");
                     dirty.push((ev.key, ev.data));
                 }
@@ -226,7 +238,10 @@ impl Machine {
     fn refill_l1_from_l2(&mut self, core: usize, key: LineKey, at_cpu: u64) {
         let mut buf = std::mem::take(&mut self.line_buf);
         buf.clear();
-        // gsdram-lint: allow(D4) callers enter only after an L2 probe hit for this key
+        #[expect(
+            clippy::expect_used,
+            reason = "callers enter only after an L2 probe hit for this key"
+        )]
         buf.extend_from_slice(self.hier.l2.data(key).expect("hit"));
         self.hier
             .fill_l1(core, key, &buf, &mut self.wb, &mut self.events);
@@ -252,14 +267,16 @@ impl Machine {
         // L1 lookup.
         if self.hier.l1[core].probe(key, store.is_some()) {
             self.cores.core_mut(core).time = t0 + self.cfg.l1.latency;
+            #[expect(
+                clippy::expect_used,
+                reason = "probe(key) hit on the enclosing branch condition"
+            )]
             let value = if let Some(v) = store {
                 self.invalidate_overlaps_on_store(core, key, t0);
-                // gsdram-lint: allow(D4) probe(key) hit on the enclosing branch condition
                 let data = self.hier.l1[core].data_mut(key).expect("hit");
                 data[word] = v;
                 v
             } else {
-                // gsdram-lint: allow(D4) probe(key) hit on the enclosing branch condition
                 self.hier.l1[core].data(key).expect("hit")[word]
             };
             return Some(MemResp {
@@ -279,15 +296,17 @@ impl Machine {
             let latency = self.cfg.l1.latency + self.cfg.l2.latency;
             self.cores.core_mut(core).time = t0 + latency;
             self.refill_l1_from_l2(core, key, t0);
+            #[expect(
+                clippy::expect_used,
+                reason = "fill_l1/refill above installed the line for this core"
+            )]
             let value = if let Some(v) = store {
                 self.invalidate_overlaps_on_store(core, key, t0);
                 self.hier.l1[core].probe(key, true);
-                // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
                 let d = self.hier.l1[core].data_mut(key).expect("filled");
                 d[word] = v;
                 v
             } else {
-                // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
                 self.hier.l1[core].data(key).expect("filled")[word]
             };
             return Some(MemResp {
@@ -303,21 +322,26 @@ impl Machine {
                 self.cores.core_mut(core).time = t0 + latency;
                 let mut buf = std::mem::take(&mut self.line_buf);
                 buf.clear();
-                // gsdram-lint: allow(D4) contains(key) held on the enclosing branch condition
+                #[expect(
+                    clippy::expect_used,
+                    reason = "contains(key) held on the enclosing branch condition"
+                )]
                 buf.extend_from_slice(self.hier.l1[c].data(key).expect("resident"));
                 self.hier
                     .fill_l1(core, key, &buf, &mut self.wb, &mut self.events);
                 self.line_buf = buf;
                 self.drain_writebacks(t0);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "fill_l1/refill above installed the line for this core"
+                )]
                 let value = if let Some(v) = store {
                     self.invalidate_overlaps_on_store(core, key, t0);
                     self.hier.l1[core].probe(key, true);
-                    // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
                     let d = self.hier.l1[core].data_mut(key).expect("filled");
                     d[word] = v;
                     v
                 } else {
-                    // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
                     self.hier.l1[core].data(key).expect("filled")[word]
                 };
                 return Some(MemResp {

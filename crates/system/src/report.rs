@@ -2,6 +2,11 @@
 //! one [`RunReport`] / stats tree at the end of a
 //! [`Machine::run`](crate::Machine::run).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "float leaf: report values derived from finished integer counters; never feeds simulated timing"
+)]
+
 use gsdram_cache::cache::CacheStats;
 use gsdram_cache::dbi::DbiStats;
 use gsdram_cache::prefetch::PrefetchStats;

@@ -138,7 +138,10 @@ impl<P: Program, W: Write> TraceRecorder<P, W> {
 impl<P: Program, W: Write> Program for TraceRecorder<P, W> {
     fn next_op(&mut self) -> Option<Op> {
         let op = self.inner.next_op()?;
-        // gsdram-lint: allow(D4) Program::next_op cannot carry IO errors; a broken trace sink is fatal
+        #[expect(
+            clippy::expect_used,
+            reason = "Program::next_op cannot carry IO errors; a broken trace sink is fatal"
+        )]
         writeln!(self.out, "{}", format_op(&op)).expect("trace write failed");
         self.ops_written += 1;
         Some(op)
@@ -185,9 +188,15 @@ impl<R: BufRead> TraceReplayer<R> {
 impl<R: BufRead> Program for TraceReplayer<R> {
     fn next_op(&mut self) -> Option<Op> {
         loop {
-            // gsdram-lint: allow(D4) Program::next_op cannot carry IO errors; a broken trace source is fatal
+            #[expect(
+                clippy::expect_used,
+                reason = "Program::next_op cannot carry IO errors; a broken trace source is fatal"
+            )]
             let line = self.lines.next()?.expect("trace read failed");
-            // gsdram-lint: allow(D4) replaying a corrupt trace is fatal; carrying on would skew results silently
+            #[expect(
+                clippy::expect_used,
+                reason = "replaying a corrupt trace is fatal; carrying on would skew results silently"
+            )]
             match parse_line(&line).expect("malformed trace line") {
                 Some(op) => {
                     self.ops_replayed += 1;

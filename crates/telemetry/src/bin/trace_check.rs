@@ -15,8 +15,14 @@
 //! gsdram-trace-check trace.json
 //! ```
 
-// Binary target: printing the verdict is the job.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+// D2 (docs/LINTS.md): no wall-clock reads or threads from the
+// clippy.toml method list in binaries either.
+#![deny(clippy::disallowed_methods)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "binary target: printing the verdict is the job"
+)]
 
 use std::process::ExitCode;
 

@@ -204,6 +204,12 @@ impl Telemetry {
     }
 
     /// Folds one event into the store.
+    // D6: one arm per event and no wildcard, so a new `SimEvent`
+    // variant does not compile until this fold handles it.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn on_event(&mut self, ev: &SimEvent) {
         self.total_events += 1;
         if self.capacity > 0 {

@@ -11,6 +11,12 @@
 //! bit-for-bit. That property is what lets per-channel histograms be
 //! folded into whole-machine totals without losing determinism.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::float_arithmetic,
+    reason = "float leaf: report values derived from finished integer counters; never feeds simulated timing"
+)]
+
 use gsdram_core::stats::{ReportStats, StatsNode};
 
 /// Sub-bucket resolution: each octave splits into `2^SUB_BITS` buckets.
@@ -87,24 +93,33 @@ impl Histogram {
     /// Folds `other` into this histogram. Exact: the result equals the
     /// histogram of the two underlying sample streams concatenated.
     pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
+        // Exhaustive on purpose (rule D9): a new field does not compile
+        // until this fold handles it.
+        let Histogram {
+            count,
+            sum,
+            min,
+            max,
+            ref buckets,
+        } = *other;
+        if count == 0 {
             return;
         }
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
+        if self.buckets.len() < buckets.len() {
+            self.buckets.resize(buckets.len(), 0);
         }
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+        for (b, o) in self.buckets.iter_mut().zip(buckets) {
             *b += o;
         }
-        self.sum = self.sum.saturating_add(other.sum);
+        self.sum = self.sum.saturating_add(sum);
         if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
+            self.min = min;
+            self.max = max;
         } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
+            self.min = self.min.min(min);
+            self.max = self.max.max(max);
         }
-        self.count += other.count;
+        self.count += count;
     }
 
     /// Number of recorded samples.

@@ -155,11 +155,11 @@ impl Gemm {
 /// Builds the op stream for one GEMM run.
 ///
 /// `sample_outer` limits the outermost loop (i rows for naive, row-tile
-/// stripes otherwise) to the given count; the returned factor scales the
+/// stripes otherwise) to the given count. The returned pair is
+/// `(full, simulated)` outer iterations; `full / simulated` scales the
 /// measured cycles back to the full problem (used by the Figure 13
-/// harness for n ≥ 256). `None` simulates everything (factor 1).
-// gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-pub fn program(g: Gemm, sample_outer: Option<usize>) -> (IterProgram, f64) {
+/// harness for n ≥ 256). `None` simulates everything (`full == simulated`).
+pub fn program(g: Gemm, sample_outer: Option<usize>) -> (IterProgram, (usize, usize)) {
     match g.variant {
         GemmVariant::Naive => naive(g, sample_outer),
         GemmVariant::Tiled { tile } => tiled_scalar(g, tile, sample_outer),
@@ -168,12 +168,9 @@ pub fn program(g: Gemm, sample_outer: Option<usize>) -> (IterProgram, f64) {
     }
 }
 
-// gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-fn naive(g: Gemm, sample: Option<usize>) -> (IterProgram, f64) {
+fn naive(g: Gemm, sample: Option<usize>) -> (IterProgram, (usize, usize)) {
     let n = g.n;
     let rows = sample.map_or(n, |s| s.min(n));
-    // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-    let scale = n as f64 / rows as f64;
     // for i { for j { acc = 0; for k { acc += A[i][k] * B[k][j] } } }
     let ops = (0..rows).flat_map(move |i| {
         (0..n).flat_map(move |j| {
@@ -197,16 +194,13 @@ fn naive(g: Gemm, sample: Option<usize>) -> (IterProgram, f64) {
             })
         })
     });
-    (IterProgram::new(Box::new(ops)), scale)
+    (IterProgram::new(Box::new(ops)), (n, rows))
 }
 
-// gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-fn tiled_scalar(g: Gemm, t: usize, sample: Option<usize>) -> (IterProgram, f64) {
+fn tiled_scalar(g: Gemm, t: usize, sample: Option<usize>) -> (IterProgram, (usize, usize)) {
     let n = g.n;
     let stripes = n / t;
     let run = sample.map_or(stripes, |s| s.min(stripes));
-    // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-    let scale = stripes as f64 / run as f64;
     let ops = (0..run).flat_map(move |ti| {
         (0..n / t).flat_map(move |tj| {
             (0..n / t).flat_map(move |tk| {
@@ -242,19 +236,16 @@ fn tiled_scalar(g: Gemm, t: usize, sample: Option<usize>) -> (IterProgram, f64) 
             })
         })
     });
-    (IterProgram::new(Box::new(ops)), scale)
+    (IterProgram::new(Box::new(ops)), (stripes, run))
 }
 
 /// The shared tiled-SIMD structure; `gs` selects the B-column access:
 /// software gather (8 scalar loads + 4 packs) vs 4 pattern-7 `pattload`s
 /// into xmm registers.
-// gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-fn tiled_simd(g: Gemm, t: usize, sample: Option<usize>, gs: bool) -> (IterProgram, f64) {
+fn tiled_simd(g: Gemm, t: usize, sample: Option<usize>, gs: bool) -> (IterProgram, (usize, usize)) {
     let n = g.n;
     let stripes = n / t;
     let run = sample.map_or(stripes, |s| s.min(stripes));
-    // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-    let scale = stripes as f64 / run as f64;
     let ops = (0..run).flat_map(move |ti| {
         (0..n / t).flat_map(move |tj| {
             (0..n / t).flat_map(move |tk| {
@@ -306,7 +297,7 @@ fn tiled_simd(g: Gemm, t: usize, sample: Option<usize>, gs: bool) -> (IterProgra
             })
         })
     });
-    (IterProgram::new(Box::new(ops)), scale)
+    (IterProgram::new(Box::new(ops)), (stripes, run))
 }
 
 #[cfg(test)]
@@ -320,13 +311,13 @@ mod tests {
         let mut m = Machine::new(SystemConfig::table1(1, 32 << 20));
         let g = Gemm::create(&mut m, n, variant);
         g.init(&mut m);
-        let (mut p, scale) = program(g, None);
+        let (mut p, (full, simulated)) = program(g, None);
         let r = {
             let mut programs: Vec<&mut dyn Program> = vec![&mut p];
             m.run(&mut programs, StopWhen::AllDone)
         };
-        assert_eq!(scale, 1.0);
-        ((r.cpu_cycles as f64 * scale) as u64, r)
+        assert_eq!(full, simulated);
+        (r.cpu_cycles, r)
     }
 
     #[test]
@@ -403,8 +394,8 @@ mod tests {
         let mut m = Machine::new(SystemConfig::table1(1, 32 << 20));
         let g = Gemm::create(&mut m, 64, GemmVariant::TiledSimd { tile: 16 });
         g.init(&mut m);
-        let (_p, scale) = program(g, Some(2));
-        assert_eq!(scale, 2.0); // 4 stripes, 2 simulated
+        let (_p, sampled) = program(g, Some(2));
+        assert_eq!(sampled, (4, 2)); // 4 stripes, 2 simulated
     }
 
     #[test]

@@ -16,6 +16,20 @@
 //! * [`transpose`] — matrix transpose via gathered tile columns;
 //! * [`common`] — lazy program plumbing and a deterministic RNG.
 
+// The determinism contract (docs/LINTS.md), for non-test code: the
+// clippy.toml type and method lists, no panicking shortcuts and
+// integer-only simulation state.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::float_arithmetic,
+        clippy::default_numeric_fallback
+    )
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -7,8 +7,10 @@
 //!
 //! Run: `cargo run --release --example imdb_htap`
 
-// Examples are demos: their console narrative IS the deliverable.
-#![allow(clippy::print_stdout)]
+#![expect(
+    clippy::print_stdout,
+    reason = "examples are demos: their console narrative is the deliverable"
+)]
 use gsdram::system::config::SystemConfig;
 use gsdram::system::machine::{Machine, StopWhen};
 use gsdram::system::ops::Program;

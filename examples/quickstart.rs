@@ -6,8 +6,10 @@
 //!
 //! Run: `cargo run --example quickstart`
 
-// Examples are demos: their console narrative IS the deliverable.
-#![allow(clippy::print_stdout)]
+#![expect(
+    clippy::print_stdout,
+    reason = "examples are demos: their console narrative is the deliverable"
+)]
 use gsdram::core::{
     analysis::{reads_for_stride, MappingScheme},
     ColumnId, Geometry, GsDramConfig, GsModule, PatternId, RowId,

@@ -5,8 +5,10 @@
 //!
 //! Run: `cargo run --example stride_planner`
 
-// Examples are demos: their console narrative IS the deliverable.
-#![allow(clippy::print_stdout)]
+#![expect(
+    clippy::print_stdout,
+    reason = "examples are demos: their console narrative is the deliverable"
+)]
 use gsdram::core::plan::{baseline_commands, plan_stats, plan_stride};
 use gsdram::core::GsDramConfig;
 

@@ -39,9 +39,22 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for end-to-end system runs and `crates/bench` for the
-//! binaries that regenerate every table and figure of the paper.
+//! See `examples/` for end-to-end system runs and `gsdram-sim sweep` for
+//! the experiment registry that regenerates every table and figure of the
+//! paper.
 
+// The determinism contract (docs/LINTS.md), for non-test code: no wall
+// clock, threads or hash-order iteration (clippy.toml), no panicking
+// shortcuts.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
 #![warn(missing_docs)]
 
 pub use gsdram_cache as cache;
