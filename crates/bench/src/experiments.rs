@@ -110,12 +110,6 @@ pub const REGISTRY: &[ExperimentDef] = &[
         render: ablation_sectored_render,
     },
     ExperimentDef {
-        name: "ablation_scheduler",
-        title: "Ablation: FR-FCFS vs FCFS under HTAP",
-        specs: ablation_scheduler_specs,
-        render: ablation_scheduler_render,
-    },
-    ExperimentDef {
         name: "ablation_sched",
         title: "Ablation: scheduling engines (fr-fcfs, fcfs, fr-fcfs-cap, bank-rr) under HTAP",
         specs: ablation_sched_specs,
@@ -1004,68 +998,6 @@ fn ablation_sectored_render(args: &Args, _outs: &[RunOutcome]) -> StatsNode {
         )
 }
 
-// ----------------------------------------------------- ablation_scheduler
-
-fn ablation_scheduler_specs(args: &Args) -> Vec<RunSpec> {
-    let tuples = args.u64("--tuples", 1 << 18);
-    let spec = TxnSpec {
-        read_only: 1,
-        write_only: 1,
-        read_write: 0,
-    };
-    let mut v = Vec::new();
-    for (pname, policy) in [("frfcfs", SchedPolicy::FrFcfs), ("fcfs", SchedPolicy::Fcfs)] {
-        for layout in [Layout::RowStore, Layout::GsDram] {
-            // Prefetching keeps several analytics requests queued at
-            // the controller — that is what lets FR-FCFS starve the
-            // transaction thread (S5.1).
-            let mut machine = MachineSpec::table1(2, table_mem(tuples)).with_prefetch();
-            machine.sched = policy;
-            v.push(RunSpec {
-                id: format!("ablation_scheduler/{pname}/{}", slug(layout)),
-                machine,
-                workload: WorkloadSpec::Htap {
-                    layout,
-                    tuples,
-                    spec,
-                    seed: 99,
-                },
-            });
-        }
-    }
-    v
-}
-
-fn ablation_scheduler_render(_args: &Args, outs: &[RunOutcome]) -> StatsNode {
-    let mut configs = Vec::new();
-    for pname in ["frfcfs", "fcfs"] {
-        for layout in [Layout::RowStore, Layout::GsDram] {
-            let o = get(
-                outs,
-                &format!("ablation_scheduler/{pname}/{}", slug(layout)),
-            );
-            configs.push(
-                StatsNode::new(format!("{pname}_{}", slug(layout)))
-                    .gauge("analytics_mcycles", mc(o.scaled_cycles()))
-                    .gauge(
-                        "txn_throughput_mps",
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "htap experiment always records this extra"
-                        )]
-                        o.extra("txn_throughput_mps").expect("htap outcome"),
-                    ),
-            );
-        }
-    }
-    StatsNode::new("summary")
-        .text(
-            "paper",
-            "FCFS removes the row-hit prioritisation that starves Row Store txns",
-        )
-        .children_from(configs)
-}
-
 // -------------------------------------------------------- ablation_sched
 
 /// The scheduling engines the `ablation_sched` experiment compares,
@@ -1835,7 +1767,7 @@ mod tests {
             assert!(!names[i + 1..].contains(n), "duplicate name {n}");
             assert_eq!(find(n).map(|d| d.name), Some(*n));
         }
-        assert_eq!(names.len(), 21);
+        assert_eq!(names.len(), 20);
         assert!(find("nonsense").is_none());
     }
 

@@ -4,10 +4,10 @@
 //! The scheduler/refresh/write-drain extraction and the mapping
 //! component functions must not move a single byte of the frozen
 //! figure JSON under the default machine (FR-FCFS, direct bank map):
-//! `tests/baselines/*.json` were generated before the refactor, and
-//! the pin tests here re-run the same experiments in process and
-//! compare the pretty JSON byte-for-byte (CI also diffs the CLI
-//! output against the same files).
+//! every `baselines/*.json` beside this file was generated before the
+//! change it guards, and the pin tests here re-run the same
+//! experiments in process and compare the pretty JSON byte-for-byte
+//! (CI also diffs the CLI output against the same files).
 
 use gsdram_bench::args::Args;
 use gsdram_bench::experiments::{find, run_experiment};
@@ -20,10 +20,10 @@ fn fig9_json_matches_pre_refactor_baseline() {
     let def = find("fig9").expect("registered");
     let args = Args::new(["--txns", "200", "--tuples", "2048"]);
     let node = run_experiment(def, &args);
-    let want = include_str!("../../../tests/baselines/fig9_small.json");
+    let want = include_str!("baselines/fig9_small.json");
     assert!(
         node.to_json_pretty() == want,
-        "fig9 JSON drifted from tests/baselines/fig9_small.json"
+        "fig9 JSON drifted from crates/bench/tests/baselines/fig9_small.json"
     );
 }
 
@@ -32,10 +32,10 @@ fn fig10_json_matches_pre_refactor_baseline() {
     let def = find("fig10").expect("registered");
     let args = Args::new(["--tuples", "2048"]);
     let node = run_experiment(def, &args);
-    let want = include_str!("../../../tests/baselines/fig10_small.json");
+    let want = include_str!("baselines/fig10_small.json");
     assert!(
         node.to_json_pretty() == want,
-        "fig10 JSON drifted from tests/baselines/fig10_small.json"
+        "fig10 JSON drifted from crates/bench/tests/baselines/fig10_small.json"
     );
 }
 
@@ -94,6 +94,36 @@ fn scale_channels_json_matches_committed_baseline() {
     assert!(
         ch4.gauge_at("row_mcycles") < ch1.gauge_at("row_mcycles"),
         "four channels must beat one on the row-store scan"
+    );
+}
+
+/// The scheduler and row-policy ablations are the only experiments
+/// that reach the controller paths the default machine never takes:
+/// the non-min-ready `select` of `fr-fcfs-cap` and `bank-rr`, write
+/// drain under those engines, and closed-row auto-precharge. Their
+/// committed baselines freeze those decisions byte-for-byte (CI's
+/// ablation-smoke job diffs the CLI output against the same files).
+#[test]
+fn ablation_sched_json_matches_committed_baseline() {
+    let def = find("ablation_sched").expect("registered");
+    let args = Args::new(["--tuples", "2048"]);
+    let node = run_experiment(def, &args);
+    let want = include_str!("baselines/ablation_sched_small.json");
+    assert!(
+        node.to_json_pretty() == want,
+        "ablation_sched JSON drifted from crates/bench/tests/baselines/ablation_sched_small.json"
+    );
+}
+
+#[test]
+fn ablation_row_policy_json_matches_committed_baseline() {
+    let def = find("ablation_row_policy").expect("registered");
+    let args = Args::new(["--tuples", "2048"]);
+    let node = run_experiment(def, &args);
+    let want = include_str!("baselines/ablation_row_policy_small.json");
+    assert!(
+        node.to_json_pretty() == want,
+        "ablation_row_policy JSON drifted from crates/bench/tests/baselines/ablation_row_policy_small.json"
     );
 }
 

@@ -380,6 +380,34 @@ pub struct MemController {
     open_buf: Vec<usize>,
 }
 
+/// One scheduling step's decision (see [`MemController::decide`]).
+#[derive(Debug)]
+struct Decision {
+    /// Whether the step serves the write queue.
+    writes: bool,
+    /// The engine-selected candidate of the served queue.
+    best: Option<Candidate>,
+    /// Stale entries at the front of `pending_close` (closed-row
+    /// policy), for the step to drop.
+    stale_closes: usize,
+    /// The first warranted auto-precharge: rank, command, due cycle.
+    close: Option<(usize, DramCommand, Cycles)>,
+}
+
+impl Decision {
+    /// The exact next cycle the controller's state can change absent
+    /// new input: the single fold over {selected command,
+    /// auto-precharge, refresh}. Exact by the ordering argument in
+    /// `docs/PERF.md` §2.
+    fn earliest(&self, refresh: &RefreshTimer) -> Option<Cycles> {
+        let mut fold = TimeFold::new();
+        fold.fold_opt(self.best.map(|c| c.ready));
+        fold.fold_opt(self.close.map(|(_, _, at)| at));
+        fold.fold_opt(refresh.horizon());
+        fold.earliest()
+    }
+}
+
 impl MemController {
     /// A controller with the given configuration.
     pub fn new(cfg: ControllerConfig) -> Self {
@@ -539,32 +567,17 @@ impl MemController {
     /// Satisfies the time-skip contract of [`gsdram_core::time`]:
     /// `advance(next_event() - 1)` issues nothing, `advance
     /// (next_event())` makes progress.
+    ///
+    /// Reads the horizon the last scheduling step learned; when it is
+    /// stale, computes the bound from the same pure `decide` the next
+    /// step will take, without caching it (learning it here would
+    /// defer that step's drain-edge commit).
     pub fn next_event(&self) -> Option<Cycles> {
         if !self.horizon.is_stale() {
             return self.horizon.known();
         }
-        self.compute_next_event()
-    }
-
-    /// The uncached next-event computation: a pure replay of the next
-    /// scheduling step's decision logic. The fold over {selected
-    /// candidate, due auto-precharge, refresh due} is exact — see the
-    /// ordering-invariant argument in `docs/PERF.md`.
-    fn compute_next_event(&self) -> Option<Cycles> {
-        let mut fold = TimeFold::new();
-        fold.fold_opt(self.refresh.horizon());
-        let writes = self
-            .wdrain
-            .would_serve(self.writeq.len(), !self.readq.is_empty());
-        let queue = if writes { &self.writeq } else { &self.readq };
-        let cands = self.candidates(queue, self.now);
-        if !cands.is_empty() {
-            fold.fold(cands[self.sched.select(&cands)].ready);
-        }
-        if self.cfg.row_policy == RowPolicy::Closed {
-            fold.fold_opt(self.peek_close(self.now));
-        }
-        fold.earliest()
+        self.decide(&mut Vec::new(), &mut Vec::new())
+            .earliest(&self.refresh)
     }
 
     fn accrue_energy(&mut self, to: Cycles) {
@@ -656,9 +669,9 @@ impl MemController {
         self.horizon.invalidate();
     }
 
-    /// Whether writes should be serviced now, per the write-drain
-    /// engine; mode edges are folded into stats and telemetry here.
-    fn serving_writes(&mut self, have_ready_read: bool, events: &mut EventHub) -> bool {
+    /// Commits the write-drain hysteresis for the current write-queue
+    /// depth, folding a mode edge into stats and telemetry.
+    fn commit_drain_edge(&mut self, events: &mut EventHub) {
         if let Some(tr) = self.wdrain.update(self.writeq.len()) {
             let kind = match tr {
                 DrainTransition::Entered => {
@@ -678,12 +691,8 @@ impl MemController {
                 at_mem,
             });
         }
-        self.wdrain.should_serve(self.writeq.len(), have_ready_read)
     }
 
-    /// For one queue, selects the per-bank representative request and its
-    /// next command, returning `(queue_index, command, earliest, is_hit,
-    /// seq)` candidates.
     /// Earliest issue time for a command on `rank`, including the
     /// shared command bus and (for column commands) the shared data bus
     /// with rank-to-rank turnaround.
@@ -702,17 +711,6 @@ impl MemController {
             t = t.max(bus_ready.saturating_sub(latency));
         }
         t
-    }
-
-    /// Allocating wrapper over
-    /// [`candidates_into`](Self::candidates_into) for `&self` callers
-    /// off the hot path ([`next_event`](Self::next_event) cache
-    /// misses).
-    fn candidates(&self, queue: &[Pending], from: Cycles) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        let mut best_per_bank = Vec::new();
-        self.candidates_into(queue, from, &mut best_per_bank, &mut out);
-        out
     }
 
     /// For one queue, selects the per-bank representative request and
@@ -872,234 +870,218 @@ impl MemController {
             .any(|p| p.req.loc.rank == rank && p.req.loc.bank == bank && p.req.loc.row == row)
     }
 
-    /// Under the closed-row policy: the next due auto-precharge, if any
-    /// is still warranted (drops entries whose row closed or became
-    /// useful again).
-    fn close_candidate(&mut self, from: Cycles) -> Option<(usize, DramCommand, Cycles)> {
-        while let Some(&(rank, bank)) = self.pending_close.first() {
-            if self.ranks[rank].open_row(bank).is_none() || self.queued_hit_for(rank, bank) {
-                self.pending_close.remove(0);
-                continue;
-            }
+    /// Under the closed-row policy: how many entries at the front of
+    /// `pending_close` are stale (their row closed or became useful
+    /// again), and the auto-precharge the first warranted entry after
+    /// them is due to issue. Always `(0, None)` under the open-row
+    /// policy, which never schedules a close.
+    fn first_close(&self) -> (usize, Option<(usize, DramCommand, Cycles)>) {
+        let stale = self
+            .pending_close
+            .iter()
+            .take_while(|&&(rank, bank)| {
+                self.ranks[rank].open_row(bank).is_none() || self.queued_hit_for(rank, bank)
+            })
+            .count();
+        let close = self.pending_close.get(stale).map(|&(rank, bank)| {
             let cmd = DramCommand::Precharge { bank };
-            let at = self.earliest_on(rank, &cmd, from);
-            return Some((rank, cmd, at));
-        }
-        None
+            (rank, cmd, self.earliest_on(rank, &cmd, self.now))
+        });
+        (stale, close)
     }
 
-    /// Pure preview of [`close_candidate`](Self::close_candidate):
-    /// the next due auto-precharge time without dropping stale entries
-    /// (the next scheduling step drops them; skipping them here is
-    /// equivalent because only still-warranted entries can act).
-    fn peek_close(&self, from: Cycles) -> Option<Cycles> {
-        for &(rank, bank) in &self.pending_close {
-            if self.ranks[rank].open_row(bank).is_none() || self.queued_hit_for(rank, bank) {
-                continue;
-            }
-            let cmd = DramCommand::Precharge { bank };
-            return Some(self.earliest_on(rank, &cmd, from));
+    /// The next scheduling step's decision, computed purely from the
+    /// current state: the one decision path that both
+    /// [`step`](Self::step) and [`next_event`](Self::next_event) take.
+    /// `bank_best` and `cands` are caller scratch for the candidate
+    /// scan.
+    fn decide(&self, bank_best: &mut Vec<Option<usize>>, cands: &mut Vec<Candidate>) -> Decision {
+        // Every queued request yields a per-bank representative
+        // candidate, so "a read candidate exists" is exactly "the read
+        // queue is non-empty" — the write-drain decision needs no read
+        // scan.
+        let writes = self
+            .wdrain
+            .would_serve(self.writeq.len(), !self.readq.is_empty());
+        let queue = if writes { &self.writeq } else { &self.readq };
+        self.candidates_into(queue, self.now, bank_best, cands);
+        // Pass 2 belongs to the scheduling engine.
+        let best = (!cands.is_empty()).then(|| cands[self.sched.select(cands)]);
+        let (stale_closes, close) = self.first_close();
+        Decision {
+            writes,
+            best,
+            stale_closes,
+            close,
         }
-        None
     }
 
     /// Issues the single next command whose legal issue time is ≤
     /// `limit` (refresh included), advancing the clock exactly to it.
-    /// Returns `false` when nothing could be issued within `limit`.
+    /// Returns `false` when nothing could be issued within `limit`,
+    /// having learned the decision's next event as the horizon.
+    ///
+    /// Decide, commit, act: take [`decide`](Self::decide)'s decision,
+    /// commit its write-drain edge and drop its stale auto-precharge
+    /// entries, then issue the auto-precharge, the refresh or the
+    /// selected command.
     fn step(&mut self, limit: Cycles, events: &mut EventHub) -> bool {
-        {
-            // Every queued request yields a per-bank representative
-            // candidate, so "a read candidate exists" is exactly "the
-            // read queue is non-empty" — the write-drain decision needs
-            // no read scan.
-            let have_ready_read = !self.readq.is_empty();
-            let writes = self.serving_writes(have_ready_read, events);
-            let mut cands = std::mem::take(&mut self.cand_buf);
-            let mut bank_best = std::mem::take(&mut self.bank_best);
-            let queue = if writes { &self.writeq } else { &self.readq };
-            self.candidates_into(queue, self.now, &mut bank_best, &mut cands);
-            let from_writeq = writes;
+        let mut bank_best = std::mem::take(&mut self.bank_best);
+        let mut cands = std::mem::take(&mut self.cand_buf);
+        let d = self.decide(&mut bank_best, &mut cands);
+        self.bank_best = bank_best;
+        self.cand_buf = cands;
+        self.commit_drain_edge(events);
+        self.pending_close.drain(..d.stale_closes);
 
-            // Pass 2 belongs to the scheduling engine.
-            let best = if cands.is_empty() {
-                None
-            } else {
-                Some(cands[self.sched.select(&cands)])
-            };
-            self.cand_buf = cands;
-            self.bank_best = bank_best;
-
-            // Closed-row policy: a due auto-precharge competes with (and
-            // on ties loses to) request commands.
-            if self.cfg.row_policy == RowPolicy::Closed {
-                if let Some((rank, cmd, at)) = self.close_candidate(self.now) {
-                    let beats = best.is_none_or(|c| at < c.ready);
-                    let refresh_blocks = self.refresh.preempts(at, limit);
-                    if beats && !refresh_blocks {
-                        if at > limit {
-                            // Next state change: this precharge, unless
-                            // a refresh comes due first (the precharge
-                            // beats `best`, so `best` never fires
-                            // earlier).
-                            let mut fold = TimeFold::new();
-                            fold.fold(at);
-                            fold.fold_opt(self.refresh.horizon());
-                            self.horizon.learn(fold.earliest());
-                            return false;
-                        }
-                        self.issue(rank, cmd, at, events);
-                        self.pending_close.remove(0);
-                        return true;
-                    }
+        // Closed-row policy: a due auto-precharge competes with (and
+        // on ties loses to) request commands.
+        if let Some((rank, cmd, at)) = d.close {
+            let beats = d.best.is_none_or(|c| at < c.ready);
+            if beats && !self.refresh.preempts(at, limit) {
+                if at > limit {
+                    self.horizon.learn(d.earliest(&self.refresh));
+                    return false;
                 }
-            }
-
-            // Refresh takes priority over any command not strictly
-            // earlier than it.
-            if self.refresh.due_by(limit) && best.is_none_or(|c| c.ready >= self.refresh.next_due())
-            {
-                self.do_refresh(events);
+                self.issue(rank, cmd, at, events);
+                self.pending_close.remove(0);
                 return true;
             }
-
-            let Some(Candidate {
-                queue_idx: idx,
-                rank,
-                bank,
-                cmd,
-                ready: at,
-                ..
-            }) = best
-            else {
-                // Nothing pending: only a refresh can happen.
-                self.horizon.learn(self.refresh.horizon());
-                return false;
-            };
-
-            // Do not run past `limit`.
-            if at > limit {
-                // Next state change: the selected command, unless a
-                // refresh comes due first (any due auto-precharge did
-                // not beat it, so it cannot fire earlier either).
-                let mut fold = TimeFold::new();
-                fold.fold(at);
-                fold.fold_opt(self.refresh.horizon());
-                self.horizon.learn(fold.earliest());
-                return false;
-            }
-
-            let is_column = cmd.is_column();
-            // Occupancy at issue, the serviced request included —
-            // sampled before the retire below removes it.
-            let depth_at_issue = self.pending() as u32;
-            let data_end = self.issue(rank, cmd, at, events);
-            if is_column && self.cfg.row_policy == RowPolicy::Closed {
-                if let Some(bank) = cmd.bank() {
-                    if !self.pending_close.contains(&(rank, bank)) {
-                        self.pending_close.push((rank, bank));
-                    }
-                }
-            }
-            let queue = if from_writeq {
-                &mut self.writeq
-            } else {
-                &mut self.readq
-            };
-            if is_column {
-                // Oldest request still pending in this queue (serviced
-                // one included) — fairness engines judge the service
-                // against it.
-                let oldest_seq = queue.iter().fold(u64::MAX, |m, p| m.min(p.seq));
-                let p = queue.swap_remove(idx);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "issue() returns a data window for every column command"
-                )]
-                let at_done = data_end.expect("column command returns completion");
-                self.completions.push(Completion {
-                    id: p.req.id,
-                    at: at_done,
-                });
-                let served = p.served.unwrap_or(RowBufferState::Hit);
-                match served {
-                    RowBufferState::Hit => self.stats.row_hits += 1,
-                    RowBufferState::Closed => self.stats.row_closed += 1,
-                    RowBufferState::Conflict => self.stats.row_conflicts += 1,
-                }
-                self.depth_hist.record(u64::from(depth_at_issue));
-                match p.req.kind {
-                    AccessKind::Read => {
-                        let latency = at_done - p.arrival;
-                        self.stats.note_read_latency(latency);
-                        self.read_hist.record(latency);
-                    }
-                    AccessKind::Write => self.stats.writes += 1,
-                }
-                let channel = self.channel;
-                events.emit(|| SimEvent::DramService {
-                    id: p.req.id,
-                    channel,
-                    bank: p.req.loc.bank,
-                    pattern: p.req.pattern,
-                    write: p.req.kind == AccessKind::Write,
-                    outcome: match served {
-                        RowBufferState::Hit => RowOutcome::Hit,
-                        RowBufferState::Closed => RowOutcome::Closed,
-                        RowBufferState::Conflict => RowOutcome::Conflict,
-                    },
-                    queue_depth: depth_at_issue,
-                    arrived_at_mem: p.arrival,
-                    done_at_mem: at_done,
-                });
-                // Report the retire to the scheduling engine; fold any
-                // fairness decision into stats and telemetry.
-                let fb = self.sched.on_retire(Retired {
-                    seq: p.seq,
-                    is_hit: served == RowBufferState::Hit,
-                    slot: rank * self.cfg.banks + bank,
-                    oldest_seq,
-                });
-                for (taken, counter, kind) in [
-                    (
-                        fb.hit_bypass,
-                        &mut self.stats.sched_hit_bypasses,
-                        SchedDecisionKind::RowHitBypass,
-                    ),
-                    (
-                        fb.promoted,
-                        &mut self.stats.sched_promotions,
-                        SchedDecisionKind::StarvationPromotion,
-                    ),
-                    (
-                        fb.rotated,
-                        &mut self.stats.sched_batch_rotations,
-                        SchedDecisionKind::BatchRotation,
-                    ),
-                ] {
-                    if taken {
-                        *counter += 1;
-                        events.emit(|| SimEvent::SchedDecision {
-                            channel,
-                            kind,
-                            at_mem: at,
-                        });
-                    }
-                }
-            } else {
-                // Remember how this request is being served: a precharge
-                // marks a row conflict; a bare activate a closed-row
-                // access.
-                let p = &mut queue[idx];
-                match cmd {
-                    DramCommand::Activate { .. } if p.served.is_none() => {
-                        p.served = Some(RowBufferState::Closed);
-                    }
-                    DramCommand::Precharge { .. } => p.served = Some(RowBufferState::Conflict),
-                    _ => {}
-                }
-            }
-            true
         }
+
+        // Refresh takes priority over any command not strictly
+        // earlier than it.
+        if self.refresh.due_by(limit) && d.best.is_none_or(|c| c.ready >= self.refresh.next_due()) {
+            self.do_refresh(events);
+            return true;
+        }
+
+        // Nothing (else) issues by `limit`: the decision's earliest
+        // state change is the next event.
+        let Some(Candidate {
+            queue_idx: idx,
+            rank,
+            bank,
+            cmd,
+            ready: at,
+            ..
+        }) = d.best.filter(|c| c.ready <= limit)
+        else {
+            self.horizon.learn(d.earliest(&self.refresh));
+            return false;
+        };
+
+        let is_column = cmd.is_column();
+        // Occupancy at issue, the serviced request included —
+        // sampled before the retire below removes it.
+        let depth_at_issue = self.pending() as u32;
+        let data_end = self.issue(rank, cmd, at, events);
+        if is_column && self.cfg.row_policy == RowPolicy::Closed {
+            if let Some(bank) = cmd.bank() {
+                if !self.pending_close.contains(&(rank, bank)) {
+                    self.pending_close.push((rank, bank));
+                }
+            }
+        }
+        let queue = if d.writes {
+            &mut self.writeq
+        } else {
+            &mut self.readq
+        };
+        if is_column {
+            // Oldest request still pending in this queue (serviced
+            // one included) — fairness engines judge the service
+            // against it.
+            let oldest_seq = queue.iter().fold(u64::MAX, |m, p| m.min(p.seq));
+            let p = queue.swap_remove(idx);
+            #[expect(
+                clippy::expect_used,
+                reason = "issue() returns a data window for every column command"
+            )]
+            let at_done = data_end.expect("column command returns completion");
+            self.completions.push(Completion {
+                id: p.req.id,
+                at: at_done,
+            });
+            let served = p.served.unwrap_or(RowBufferState::Hit);
+            match served {
+                RowBufferState::Hit => self.stats.row_hits += 1,
+                RowBufferState::Closed => self.stats.row_closed += 1,
+                RowBufferState::Conflict => self.stats.row_conflicts += 1,
+            }
+            self.depth_hist.record(u64::from(depth_at_issue));
+            match p.req.kind {
+                AccessKind::Read => {
+                    let latency = at_done - p.arrival;
+                    self.stats.note_read_latency(latency);
+                    self.read_hist.record(latency);
+                }
+                AccessKind::Write => self.stats.writes += 1,
+            }
+            let channel = self.channel;
+            events.emit(|| SimEvent::DramService {
+                id: p.req.id,
+                channel,
+                bank: p.req.loc.bank,
+                pattern: p.req.pattern,
+                write: p.req.kind == AccessKind::Write,
+                outcome: match served {
+                    RowBufferState::Hit => RowOutcome::Hit,
+                    RowBufferState::Closed => RowOutcome::Closed,
+                    RowBufferState::Conflict => RowOutcome::Conflict,
+                },
+                queue_depth: depth_at_issue,
+                arrived_at_mem: p.arrival,
+                done_at_mem: at_done,
+            });
+            // Report the retire to the scheduling engine; fold any
+            // fairness decision into stats and telemetry.
+            let fb = self.sched.on_retire(Retired {
+                seq: p.seq,
+                is_hit: served == RowBufferState::Hit,
+                slot: rank * self.cfg.banks + bank,
+                oldest_seq,
+            });
+            for (taken, counter, kind) in [
+                (
+                    fb.hit_bypass,
+                    &mut self.stats.sched_hit_bypasses,
+                    SchedDecisionKind::RowHitBypass,
+                ),
+                (
+                    fb.promoted,
+                    &mut self.stats.sched_promotions,
+                    SchedDecisionKind::StarvationPromotion,
+                ),
+                (
+                    fb.rotated,
+                    &mut self.stats.sched_batch_rotations,
+                    SchedDecisionKind::BatchRotation,
+                ),
+            ] {
+                if taken {
+                    *counter += 1;
+                    events.emit(|| SimEvent::SchedDecision {
+                        channel,
+                        kind,
+                        at_mem: at,
+                    });
+                }
+            }
+        } else {
+            // Remember how this request is being served: a precharge
+            // marks a row conflict; a bare activate a closed-row
+            // access.
+            let p = &mut queue[idx];
+            match cmd {
+                DramCommand::Activate { .. } if p.served.is_none() => {
+                    p.served = Some(RowBufferState::Closed);
+                }
+                DramCommand::Precharge { .. } => p.served = Some(RowBufferState::Conflict),
+                _ => {}
+            }
+        }
+        true
     }
 
     /// Runs until all pending requests have completed, returning the
@@ -1327,11 +1309,12 @@ mod tests {
     #[test]
     fn next_event_is_exact_and_pins_advance_until_completion() {
         // Walk a mixed read/write stream (row hits, conflicts, drain
-        // mode, refresh all in play) strictly through next_event():
-        // stepping to bound-1 must issue nothing, stepping to the bound
-        // must issue something. A twin controller running the one-shot
-        // advance_until_completion path must land on the identical
-        // completion schedule.
+        // mode, refresh all in play) strictly through next_event(),
+        // under every engine, both row policies and default and
+        // drain-triggering watermarks: stepping to bound-1 must issue
+        // nothing, stepping to the bound must issue something. A twin
+        // controller running the one-shot advance_until_completion
+        // path must land on the identical completion schedule.
         let req = |i: u64| {
             let addr = (i % 6) * 65536 + i * 64;
             if i.is_multiple_of(3) {
@@ -1340,44 +1323,70 @@ mod tests {
                 read_req(i, addr)
             }
         };
-        let mut c = MemController::new(ControllerConfig::default());
-        let mut twin = MemController::new(ControllerConfig::default());
-        for i in 0..24 {
-            c.enqueue(req(i), i * 7);
-            twin.enqueue(req(i), i * 7);
-        }
-        // Command-issue observables only: drain-mode edge counters may
-        // lazily materialise at the first step after an enqueue, which
-        // the time-skip contract deliberately leaves unscheduled.
-        let obs = |c: &MemController| {
-            let s = c.stats();
-            let issued = (s.reads, s.writes, s.activates, s.precharges, s.refreshes);
-            (issued, c.pending())
-        };
-        let mut guard = 0;
-        while c.pending() > 0 {
-            let ne = c.next_event().expect("pending work must report a bound");
-            if ne > 0 {
-                let before = obs(&c);
-                c.advance(ne - 1);
-                assert_eq!(obs(&c), before, "issued before the reported bound {ne}");
+        let engines = [
+            SchedPolicy::FrFcfs,
+            SchedPolicy::Fcfs,
+            SchedPolicy::FrFcfsCap {
+                cap: SchedPolicy::DEFAULT_CAP,
+            },
+            SchedPolicy::BankRr {
+                batch: SchedPolicy::DEFAULT_BATCH,
+            },
+        ];
+        for policy in engines {
+            for row_policy in [RowPolicy::Open, RowPolicy::Closed] {
+                for (high, low) in [(32, 8), (4, 1)] {
+                    let cfg = ControllerConfig {
+                        policy,
+                        row_policy,
+                        write_high_watermark: high,
+                        write_low_watermark: low,
+                        ..ControllerConfig::default()
+                    };
+                    let case = format!("{policy:?} {row_policy:?} {high}/{low}");
+                    let mut c = MemController::new(cfg.clone());
+                    let mut twin = MemController::new(cfg);
+                    for i in 0..24 {
+                        c.enqueue(req(i), i * 7);
+                        twin.enqueue(req(i), i * 7);
+                    }
+                    // Command-issue observables only: drain-mode edge
+                    // counters may lazily materialise at the first step
+                    // after an enqueue, which the time-skip contract
+                    // deliberately leaves unscheduled.
+                    let obs = |c: &MemController| {
+                        let s = c.stats();
+                        let issued = (s.reads, s.writes, s.activates, s.precharges, s.refreshes);
+                        (issued, c.pending())
+                    };
+                    let mut guard = 0;
+                    while c.pending() > 0 {
+                        let ne = c.next_event().expect("pending work must report a bound");
+                        if ne > 0 {
+                            let before = obs(&c);
+                            c.advance(ne - 1);
+                            assert_eq!(obs(&c), before, "{case}: issued before the bound {ne}");
+                        }
+                        let before = obs(&c);
+                        c.advance(ne);
+                        assert_ne!(obs(&c), before, "{case}: no progress at the bound {ne}");
+                        guard += 1;
+                        assert!(guard < 10_000, "{case}: next_event walk failed to converge");
+                    }
+                    let mut expect = Vec::new();
+                    while twin.advance_until_completion().is_some() {
+                        twin.take_completions_into(Cycles::MAX, &mut expect);
+                    }
+                    let walked = c.take_completions(Cycles::MAX);
+                    assert!(!walked.is_empty(), "{case}");
+                    assert_eq!(
+                        walked.iter().map(|x| (x.id, x.at)).collect::<Vec<_>>(),
+                        expect.iter().map(|x| (x.id, x.at)).collect::<Vec<_>>(),
+                        "{case}"
+                    );
+                }
             }
-            let before = obs(&c);
-            c.advance(ne);
-            assert_ne!(obs(&c), before, "no progress at the reported bound {ne}");
-            guard += 1;
-            assert!(guard < 10_000, "next_event walk failed to converge");
         }
-        let mut expect = Vec::new();
-        while twin.advance_until_completion().is_some() {
-            twin.take_completions_into(Cycles::MAX, &mut expect);
-        }
-        let walked = c.take_completions(Cycles::MAX);
-        assert!(!walked.is_empty());
-        assert_eq!(
-            walked.iter().map(|x| (x.id, x.at)).collect::<Vec<_>>(),
-            expect.iter().map(|x| (x.id, x.at)).collect::<Vec<_>>(),
-        );
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! starves writebacks, so once the write queue reaches a *high
 //! watermark* the engine enters drain mode and services writes until
 //! the queue shrinks to a *low watermark* (batching writes amortises
-//! the bus read↔write turnaround). This state machine was previously
-//! inlined in `MemController::serving_writes`; extracting it makes the
-//! mode edges observable — [`WriteDrain::update`] reports each
-//! enter/exit transition, which the controller folds into
-//! `ControllerStats` and telemetry.
+//! the bus read↔write turnaround). The controller's scheduling step
+//! asks the pure [`WriteDrain::would_serve`] which queue to draw from,
+//! then commits the mode with [`WriteDrain::update`], which reports
+//! each enter/exit transition for `ControllerStats` and telemetry.
 
 /// A drain-mode edge reported by [`WriteDrain::update`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,35 +44,9 @@ impl WriteDrain {
         self.draining
     }
 
-    /// Re-evaluates the hysteresis for the current write-queue depth,
-    /// reporting an edge when the mode flips. Called once per
-    /// scheduling step, before [`should_serve`](Self::should_serve).
-    pub fn update(&mut self, depth: usize) -> Option<DrainTransition> {
-        let was = self.draining;
-        if depth >= self.high {
-            self.draining = true;
-        }
-        if depth <= self.low {
-            self.draining = false;
-        }
-        match (was, self.draining) {
-            (false, true) => Some(DrainTransition::Entered),
-            (true, false) => Some(DrainTransition::Exited),
-            _ => None,
-        }
-    }
-
-    /// Whether writes should be serviced now: always while draining,
-    /// and opportunistically when no read is ready.
-    pub fn should_serve(&self, depth: usize, have_ready_read: bool) -> bool {
-        depth > 0 && (self.draining || !have_ready_read)
-    }
-
-    /// The drain mode [`update`](Self::update) *would* leave the engine
-    /// in at `depth`, without mutating it — the time-skip engine's pure
-    /// preview for computing `next_event` bounds. Replicates `update`'s
-    /// enter-then-exit evaluation order exactly (so degenerate
-    /// `high <= low` watermarks preview the same way they latch).
+    /// The hysteresis: the drain mode the engine is in once it has seen
+    /// `depth` queued writes. The enter check runs before the exit
+    /// check, so degenerate `high <= low` watermarks never latch.
     pub fn would_drain(&self, depth: usize) -> bool {
         let mut draining = self.draining;
         if depth >= self.high {
@@ -85,11 +58,25 @@ impl WriteDrain {
         draining
     }
 
-    /// Pure preview of [`update`](Self::update) followed by
-    /// [`should_serve`](Self::should_serve): which queue the next
-    /// scheduling step will draw from, without mutating the hysteresis.
+    /// Whether the scheduling step at `depth` queued writes services
+    /// writes: always in drain mode, and opportunistically when no read
+    /// is ready. Pure, so the controller can decide before it commits
+    /// the mode with [`update`](Self::update).
     pub fn would_serve(&self, depth: usize, have_ready_read: bool) -> bool {
         depth > 0 && (self.would_drain(depth) || !have_ready_read)
+    }
+
+    /// Commits [`would_drain`](Self::would_drain) for the current
+    /// write-queue depth, reporting an edge when the mode flips. Called
+    /// once per scheduling step.
+    pub fn update(&mut self, depth: usize) -> Option<DrainTransition> {
+        let was = self.draining;
+        self.draining = self.would_drain(depth);
+        match (was, self.draining) {
+            (false, true) => Some(DrainTransition::Entered),
+            (true, false) => Some(DrainTransition::Exited),
+            _ => None,
+        }
     }
 }
 
@@ -117,46 +104,16 @@ mod tests {
     fn serves_writes_when_draining_or_idle() {
         let mut w = WriteDrain::new(4, 1);
         // Not draining: writes only when no read is ready.
-        assert!(!w.should_serve(2, true));
-        assert!(w.should_serve(2, false));
-        assert!(!w.should_serve(0, false), "nothing to serve");
-        // Draining: writes even with ready reads.
+        assert!(!w.would_serve(2, true));
+        assert!(w.would_serve(2, false));
+        assert!(!w.would_serve(0, false), "nothing to serve");
+        // Reaching the high watermark serves writes even with ready
+        // reads, before and after the mode is committed, and keeps
+        // serving them between the watermarks.
+        assert!(w.would_serve(4, true));
         w.update(4);
-        assert!(w.should_serve(4, true));
-    }
-
-    #[test]
-    fn would_serve_previews_update_then_should_serve() {
-        // Exhaustive check: for every (state, depth, ready-read) cell,
-        // the pure preview equals mutate-then-ask on a scratch copy.
-        for high in 1..6 {
-            for low in 0..6 {
-                for start in [false, true] {
-                    for depth in 0..8 {
-                        for ready in [false, true] {
-                            let w = WriteDrain {
-                                high,
-                                low,
-                                draining: start,
-                            };
-                            let mut scratch = w;
-                            scratch.update(depth);
-                            assert_eq!(
-                                w.would_drain(depth),
-                                scratch.is_draining(),
-                                "would_drain high={high} low={low} start={start} depth={depth}"
-                            );
-                            assert_eq!(
-                                w.would_serve(depth, ready),
-                                scratch.should_serve(depth, ready),
-                                "would_serve high={high} low={low} start={start} \
-                                 depth={depth} ready={ready}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        assert!(w.would_serve(4, true));
+        assert!(w.would_serve(2, true));
     }
 
     #[test]

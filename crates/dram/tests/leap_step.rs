@@ -107,6 +107,18 @@ fn write_drain_leap_matches_step() {
     }
 }
 
+/// Every scheduling engine, at its default parameter.
+const ENGINES: [SchedPolicy; 4] = [
+    SchedPolicy::FrFcfs,
+    SchedPolicy::Fcfs,
+    SchedPolicy::FrFcfsCap {
+        cap: SchedPolicy::DEFAULT_CAP,
+    },
+    SchedPolicy::BankRr {
+        batch: SchedPolicy::DEFAULT_BATCH,
+    },
+];
+
 type Observed = (Vec<(u64, u64)>, ControllerStats, u64, String);
 
 /// Runs `reqs` through a controller with the time-skip engine on or
@@ -164,14 +176,15 @@ fn run_with(
 }
 
 /// Two-run diff: identical seeded request streams and observation
-/// schedules, time-skip engine on vs off, across both schedulers, both
-/// row policies, 1–2 ranks, refresh on/off. Every observable —
+/// schedules, time-skip engine on vs off, across all four scheduling
+/// engines, both row policies, default and drain-triggering (4/1)
+/// write watermarks, 1–2 ranks, refresh on/off. Every observable —
 /// completion schedule, statistics, final clock, command trace — must
 /// match exactly.
 #[test]
 fn controller_leap_equals_step_two_run_diff() {
     let mut rng = SplitMix(0x5EED_0003);
-    for case in 0..24 {
+    for case in 0..64 {
         let n = rng.range(1, 80) as usize;
         let mut arrival = 0u64;
         let reqs: Vec<(u64, bool, u64)> = (0..n)
@@ -184,17 +197,16 @@ fn controller_leap_equals_step_two_run_diff() {
             .map(|_| rng.below(arrival + 2000))
             .collect();
         observe.sort_unstable();
+        let (write_high_watermark, write_low_watermark) = if rng.flip() { (4, 1) } else { (32, 8) };
         let cfg = ControllerConfig {
-            policy: if rng.flip() {
-                SchedPolicy::FrFcfs
-            } else {
-                SchedPolicy::Fcfs
-            },
+            policy: ENGINES[rng.below(ENGINES.len() as u64) as usize],
             row_policy: if rng.flip() {
                 RowPolicy::Closed
             } else {
                 RowPolicy::Open
             },
+            write_high_watermark,
+            write_low_watermark,
             refresh: rng.flip(),
             ranks: if rng.flip() { 2 } else { 1 },
             ..ControllerConfig::default()

@@ -31,7 +31,6 @@ use gsdram_cache::cache::LineKey;
 use gsdram_cache::overlap::OverlapCalc;
 use gsdram_core::port::{EventHub, MemReq, SimEvent};
 use gsdram_core::stats::{ReportStats, StatsNode};
-use gsdram_core::time::TimeFold;
 use gsdram_core::{cast, ColumnId, Geometry, GsModule, PatternId, RowId};
 use gsdram_dram::controller::{
     AccessKind, Completion, ControllerStats, MemController, MemRequest, ReqId,
@@ -467,19 +466,6 @@ impl DramBridge {
                 c.advance_observed(t_mem, events);
             }
         }
-    }
-
-    /// The exact next memory-clock cycle at which any channel's state
-    /// can change or a recorded completion becomes due: the global fold
-    /// of every controller's [`MemController::next_event`] and earliest
-    /// pending completion. `None` when the whole memory system is idle.
-    pub(crate) fn next_event(&self) -> Option<u64> {
-        let mut fold = TimeFold::new();
-        for c in &self.controllers {
-            fold.fold_opt(c.next_event());
-            fold.fold_opt(c.peek_completion());
-        }
-        fold.earliest()
     }
 
     /// Whether every channel is provably quiet through memory cycle

@@ -113,14 +113,6 @@ impl CoreSet {
     pub(crate) fn any_ready(&self) -> bool {
         self.cores.iter().any(|c| !c.done && !c.waiting)
     }
-
-    /// The exact next CPU cycle a core's state can change on its own:
-    /// the earliest runnable core's local clock. Waiting cores change
-    /// state only through memory completions, which the bridge horizon
-    /// covers (time-skip contract of `gsdram_core::time`).
-    pub(crate) fn next_ready_time(&self) -> Option<u64> {
-        self.pick_runnable().map(|(_, t)| t)
-    }
 }
 
 impl Machine {

@@ -29,7 +29,6 @@
 
 use gsdram_cache::cache::EvictedLine;
 use gsdram_core::port::{EventHub, EventSink};
-use gsdram_core::time::TimeFold;
 use gsdram_core::PatternId;
 use gsdram_dram::controller::Completion;
 
@@ -108,23 +107,6 @@ impl Machine {
     /// Allocates plain memory.
     pub fn malloc(&mut self, bytes: u64) -> u64 {
         self.pages.malloc(bytes)
-    }
-
-    /// The exact next CPU cycle at which the machine's state can
-    /// change: the global fold of every component horizon — the
-    /// earliest runnable core's clock and, per channel, the
-    /// controller's next command or pending completion, converted to
-    /// CPU time. `None` when the whole machine is quiescent (no
-    /// runnable core, nothing pending in memory, refresh disabled).
-    ///
-    /// This is the machine-level face of the time-skip contract in
-    /// [`gsdram_core::time`]: between now and the returned cycle no
-    /// component's observable state changes without new input.
-    pub fn next_event(&self) -> Option<u64> {
-        let mut fold = TimeFold::new();
-        fold.fold_opt(self.cores.next_ready_time());
-        fold.fold_opt(self.bridge.next_event().map(|m| self.bridge.to_cpu(m)));
-        fold.earliest()
     }
 
     /// Attaches an observer that sees every [`SimEvent`] the components

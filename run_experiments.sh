@@ -21,7 +21,6 @@ fig13
 ablation_shuffle
 ablation_patterns
 ablation_sectored
-ablation_scheduler
 ablation_sched
 ablation_mapping
 ablation_row_policy
