@@ -26,7 +26,7 @@ use crate::command::DramCommand;
 use crate::energy::{EnergyMeter, PowerParams};
 use crate::mapping::DramLocation;
 use crate::refresh::RefreshTimer;
-use crate::sched::{Candidate, QueueView, Retired, Scheduler};
+use crate::sched::{Candidate, Retired, Scheduler};
 use crate::timing::{Cycles, TimingParams};
 use crate::wdrain::{DrainTransition, WriteDrain};
 use gsdram_core::port::{DramCmdKind, EventHub, RowOutcome, SchedDecisionKind, SimEvent};
@@ -321,6 +321,54 @@ struct Pending {
     served: Option<RowBufferState>,
 }
 
+/// One request queue (reads or writes), indexed by flat (rank, bank)
+/// slot `rank * banks + bank`. Each slot's list is in arrival (`seq`)
+/// order: enqueue appends and retire removes in place, so a slot's
+/// head is its oldest request and scheduling never walks the whole
+/// queue.
+#[derive(Debug)]
+struct BankQueue {
+    slots: Vec<Vec<Pending>>,
+    len: usize,
+}
+
+impl BankQueue {
+    fn new(slots: usize) -> Self {
+        BankQueue {
+            slots: vec![Vec::new(); slots],
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn push(&mut self, slot: usize, p: Pending) {
+        self.slots[slot].push(p);
+        self.len += 1;
+    }
+
+    /// Removes entry `idx` of `slot`, keeping the slot's arrival order.
+    fn remove(&mut self, slot: usize, idx: usize) -> Pending {
+        self.len -= 1;
+        self.slots[slot].remove(idx)
+    }
+
+    /// The oldest arrival sequence number queued (`u64::MAX` when
+    /// empty): a min over the slot heads.
+    fn oldest_seq(&self) -> u64 {
+        self.slots
+            .iter()
+            .filter_map(|s| s.first())
+            .fold(u64::MAX, |m, p| m.min(p.seq))
+    }
+}
+
 /// The memory controller for one channel: a composition shell over the
 /// scheduling, refresh and write-drain engines.
 #[derive(Debug)]
@@ -334,8 +382,8 @@ pub struct MemController {
     bus_last_rank: Option<usize>,
     /// Shared command bus: one command per cycle across all ranks.
     cmd_bus_at: Cycles,
-    readq: Vec<Pending>,
-    writeq: Vec<Pending>,
+    readq: BankQueue,
+    writeq: BankQueue,
     completions: Vec<Completion>,
     /// Command-selection engine built from `cfg.policy`.
     sched: Box<dyn Scheduler>,
@@ -371,10 +419,8 @@ pub struct MemController {
     /// Whether `advance` may leap over horizon-proven dead time
     /// (disable only to cross-check leap ≡ step in tests).
     time_skip: bool,
-    /// Scratch for the per-(rank, bank) representative pick of the
-    /// candidate scan (reused across steps; no steady-state allocation).
-    bank_best: Vec<Option<usize>>,
-    /// Scratch for the candidate list itself.
+    /// Scratch for the candidate list (reused across steps; no
+    /// steady-state allocation).
     cand_buf: Vec<Candidate>,
     /// Scratch for the open-bank list of a refreshing rank.
     open_buf: Vec<usize>,
@@ -414,6 +460,7 @@ impl MemController {
         let ranks = (0..cfg.ranks.max(1))
             .map(|_| Rank::new(cfg.timing.clone(), cfg.banks))
             .collect();
+        let slots = cfg.ranks.max(1) * cfg.banks;
         let energy = EnergyMeter::new(cfg.power.clone(), cfg.timing.clone());
         let sched = cfg.policy.engine(cfg.ranks.max(1), cfg.banks);
         let refresh = RefreshTimer::new(cfg.refresh, cfg.timing.refi);
@@ -425,8 +472,8 @@ impl MemController {
             bus_free_at: 0,
             bus_last_rank: None,
             cmd_bus_at: 0,
-            readq: Vec::new(),
-            writeq: Vec::new(),
+            readq: BankQueue::new(slots),
+            writeq: BankQueue::new(slots),
             completions: Vec::new(),
             sched,
             refresh,
@@ -442,7 +489,6 @@ impl MemController {
             depth_hist: Histogram::new(),
             horizon: Horizon::Stale,
             time_skip: true,
-            bank_best: Vec::new(),
             cand_buf: Vec::new(),
             open_buf: Vec::new(),
         }
@@ -513,12 +559,23 @@ impl MemController {
     /// # Panics
     ///
     /// Panics if `at` is before the controller's current time — the
-    /// caller must not rewrite history.
+    /// caller must not rewrite history — or if `req.loc` names a rank or
+    /// bank outside the controller's shape (its per-bank queue slot
+    /// would alias another bank's).
     pub fn enqueue(&mut self, req: MemRequest, at: Cycles) {
         assert!(
             at >= self.now,
             "request arrives at {at} but now is {}",
             self.now
+        );
+        let loc = req.loc;
+        assert!(
+            loc.rank < self.ranks.len() && loc.bank < self.cfg.banks,
+            "request location outside the controller's shape: rank {} bank {} on {} ranks x {} banks",
+            loc.rank,
+            loc.bank,
+            self.ranks.len(),
+            self.cfg.banks
         );
         let p = Pending {
             req,
@@ -528,9 +585,10 @@ impl MemController {
         };
         self.seq += 1;
         self.horizon.invalidate();
+        let slot = loc.rank * self.cfg.banks + loc.bank;
         match req.kind {
-            AccessKind::Read => self.readq.push(p),
-            AccessKind::Write => self.writeq.push(p),
+            AccessKind::Read => self.readq.push(slot, p),
+            AccessKind::Write => self.writeq.push(slot, p),
         }
     }
 
@@ -576,8 +634,7 @@ impl MemController {
         if !self.horizon.is_stale() {
             return self.horizon.known();
         }
-        self.decide(&mut Vec::new(), &mut Vec::new())
-            .earliest(&self.refresh)
+        self.decide(&mut Vec::new()).earliest(&self.refresh)
     }
 
     fn accrue_energy(&mut self, to: Cycles) {
@@ -714,84 +771,64 @@ impl MemController {
     }
 
     /// For one queue, selects the per-bank representative request and
-    /// its next command into `out` as (queue index, command, earliest,
-    /// is-hit, seq) candidates. `best_per_bank` and `out` are caller
-    /// scratch (cleared here), so the per-step scan allocates nothing
-    /// in the steady state — both scans are flat sweeps over the
-    /// [`crate::bank::BankSet`] arrays.
-    fn candidates_into(
-        &self,
-        queue: &[Pending],
-        from: Cycles,
-        best_per_bank: &mut Vec<Option<usize>>,
-        out: &mut Vec<Candidate>,
-    ) {
+    /// its next command into `out` as (index within slot, command,
+    /// earliest, is-hit, seq) candidates, in slot order. A slot's
+    /// representative is its first request hitting the open row when
+    /// the engine orders hits first, else the slot's head (its oldest).
+    /// `out` is caller scratch (cleared here), so the per-step scan
+    /// allocates nothing in the steady state.
+    fn candidates_into(&self, queue: &BankQueue, from: Cycles, out: &mut Vec<Candidate>) {
         let banks = self.cfg.banks;
-        let slots = self.ranks.len() * banks;
+        let hits_first = self.sched.hits_first();
         out.clear();
-        best_per_bank.clear();
-        best_per_bank.resize(slots, None);
-        // Pass 1: pick the representative request per (rank, bank) —
-        // the ordering criterion is the scheduling engine's.
-        for (i, p) in queue.iter().enumerate() {
-            let loc = p.req.loc;
-            let state = self.ranks[loc.rank].row_state(loc.bank, loc.row);
-            let cur = &mut best_per_bank[loc.rank * banks + loc.bank];
-            match cur {
-                None => *cur = Some(i),
-                Some(j) => {
-                    let jp = &queue[*j];
-                    let j_state = self.ranks[loc.rank].row_state(loc.bank, jp.req.loc.row);
-                    let better = self.sched.prefers(
-                        QueueView {
-                            is_hit: state == RowBufferState::Hit,
-                            seq: p.seq,
-                        },
-                        QueueView {
-                            is_hit: j_state == RowBufferState::Hit,
-                            seq: jp.seq,
-                        },
-                    );
-                    if better {
-                        *cur = Some(i);
-                    }
-                }
+        for (slot, list) in queue.slots.iter().enumerate() {
+            if list.is_empty() {
+                continue;
             }
-        }
-        // Pass 2: next command + earliest time for each representative.
-        for idx in best_per_bank.iter().copied().flatten() {
-            let p = &queue[idx];
-            let loc = p.req.loc;
-            let state = self.ranks[loc.rank].row_state(loc.bank, loc.row);
-            let cmd = match state {
-                RowBufferState::Hit => match p.req.kind {
-                    AccessKind::Read => DramCommand::Read {
-                        bank: loc.bank,
-                        col: loc.col,
-                        pattern: p.req.pattern,
-                    },
-                    AccessKind::Write => DramCommand::Write {
-                        bank: loc.bank,
-                        col: loc.col,
-                        pattern: p.req.pattern,
-                    },
-                },
-                RowBufferState::Closed => DramCommand::Activate {
-                    bank: loc.bank,
-                    row: loc.row,
-                },
-                RowBufferState::Conflict => DramCommand::Precharge { bank: loc.bank },
+            let (rank, bank) = (slot / banks, slot % banks);
+            let hit = match self.ranks[rank].open_row(bank) {
+                Some(row) if hits_first => list.iter().position(|p| p.req.loc.row == row),
+                _ => None,
             };
-            let ready = self.earliest_on(loc.rank, &cmd, from.max(p.arrival));
-            out.push(Candidate {
-                queue_idx: idx,
-                rank: loc.rank,
+            out.push(self.candidate(list, hit.unwrap_or(0), from));
+        }
+    }
+
+    /// The candidate for entry `idx` of one slot's `list`: the request's
+    /// next command and the earliest cycle it can issue at or after
+    /// `from`.
+    fn candidate(&self, list: &[Pending], idx: usize, from: Cycles) -> Candidate {
+        let p = &list[idx];
+        let loc = p.req.loc;
+        let state = self.ranks[loc.rank].row_state(loc.bank, loc.row);
+        let cmd = match state {
+            RowBufferState::Hit => match p.req.kind {
+                AccessKind::Read => DramCommand::Read {
+                    bank: loc.bank,
+                    col: loc.col,
+                    pattern: p.req.pattern,
+                },
+                AccessKind::Write => DramCommand::Write {
+                    bank: loc.bank,
+                    col: loc.col,
+                    pattern: p.req.pattern,
+                },
+            },
+            RowBufferState::Closed => DramCommand::Activate {
                 bank: loc.bank,
-                cmd,
-                ready,
-                is_hit: state == RowBufferState::Hit,
-                seq: p.seq,
-            });
+                row: loc.row,
+            },
+            RowBufferState::Conflict => DramCommand::Precharge { bank: loc.bank },
+        };
+        let ready = self.earliest_on(loc.rank, &cmd, from.max(p.arrival));
+        Candidate {
+            queue_idx: idx,
+            rank: loc.rank,
+            bank: loc.bank,
+            cmd,
+            ready,
+            is_hit: state == RowBufferState::Hit,
+            seq: p.seq,
         }
     }
 
@@ -864,10 +901,11 @@ impl MemController {
         let Some(row) = self.ranks[rank].open_row(bank) else {
             return false;
         };
-        self.readq
+        let slot = rank * self.cfg.banks + bank;
+        self.readq.slots[slot]
             .iter()
-            .chain(self.writeq.iter())
-            .any(|p| p.req.loc.rank == rank && p.req.loc.bank == bank && p.req.loc.row == row)
+            .chain(&self.writeq.slots[slot])
+            .any(|p| p.req.loc.row == row)
     }
 
     /// Under the closed-row policy: how many entries at the front of
@@ -893,9 +931,8 @@ impl MemController {
     /// The next scheduling step's decision, computed purely from the
     /// current state: the one decision path that both
     /// [`step`](Self::step) and [`next_event`](Self::next_event) take.
-    /// `bank_best` and `cands` are caller scratch for the candidate
-    /// scan.
-    fn decide(&self, bank_best: &mut Vec<Option<usize>>, cands: &mut Vec<Candidate>) -> Decision {
+    /// `cands` is caller scratch for the candidate scan.
+    fn decide(&self, cands: &mut Vec<Candidate>) -> Decision {
         // Every queued request yields a per-bank representative
         // candidate, so "a read candidate exists" is exactly "the read
         // queue is non-empty" — the write-drain decision needs no read
@@ -904,7 +941,7 @@ impl MemController {
             .wdrain
             .would_serve(self.writeq.len(), !self.readq.is_empty());
         let queue = if writes { &self.writeq } else { &self.readq };
-        self.candidates_into(queue, self.now, bank_best, cands);
+        self.candidates_into(queue, self.now, cands);
         // Pass 2 belongs to the scheduling engine.
         let best = (!cands.is_empty()).then(|| cands[self.sched.select(cands)]);
         let (stale_closes, close) = self.first_close();
@@ -926,10 +963,8 @@ impl MemController {
     /// entries, then issue the auto-precharge, the refresh or the
     /// selected command.
     fn step(&mut self, limit: Cycles, events: &mut EventHub) -> bool {
-        let mut bank_best = std::mem::take(&mut self.bank_best);
         let mut cands = std::mem::take(&mut self.cand_buf);
-        let d = self.decide(&mut bank_best, &mut cands);
-        self.bank_best = bank_best;
+        let d = self.decide(&mut cands);
         self.cand_buf = cands;
         self.commit_drain_edge(events);
         self.pending_close.drain(..d.stale_closes);
@@ -983,6 +1018,7 @@ impl MemController {
                 }
             }
         }
+        let slot = rank * self.cfg.banks + bank;
         let queue = if d.writes {
             &mut self.writeq
         } else {
@@ -992,8 +1028,8 @@ impl MemController {
             // Oldest request still pending in this queue (serviced
             // one included) — fairness engines judge the service
             // against it.
-            let oldest_seq = queue.iter().fold(u64::MAX, |m, p| m.min(p.seq));
-            let p = queue.swap_remove(idx);
+            let oldest_seq = queue.oldest_seq();
+            let p = queue.remove(slot, idx);
             #[expect(
                 clippy::expect_used,
                 reason = "issue() returns a data window for every column command"
@@ -1039,7 +1075,7 @@ impl MemController {
             let fb = self.sched.on_retire(Retired {
                 seq: p.seq,
                 is_hit: served == RowBufferState::Hit,
-                slot: rank * self.cfg.banks + bank,
+                slot,
                 oldest_seq,
             });
             for (taken, counter, kind) in [
@@ -1072,7 +1108,7 @@ impl MemController {
             // Remember how this request is being served: a precharge
             // marks a row conflict; a bare activate a closed-row
             // access.
-            let p = &mut queue[idx];
+            let p = &mut queue.slots[slot][idx];
             match cmd {
                 DramCommand::Activate { .. } if p.served.is_none() => {
                     p.served = Some(RowBufferState::Closed);
@@ -1819,5 +1855,142 @@ mod tests {
         assert_eq!(s.row_hits, 15);
         assert!(s.row_hit_rate() > 0.9);
         assert!(s.avg_read_latency() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "request location outside the controller's shape")]
+    fn enqueue_rejects_a_bank_outside_the_shape() {
+        // Bank 8 of an 8-bank rank would alias slot 0 of rank 1.
+        let mut c = MemController::new(quiet_cfg());
+        let mut req = read_req(1, 0);
+        req.loc.bank = 8;
+        c.enqueue(req, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "request location outside the controller's shape")]
+    fn enqueue_rejects_a_rank_outside_the_shape() {
+        let mut c = MemController::new(quiet_cfg());
+        let mut req = read_req(1, 0);
+        req.loc.rank = 1;
+        c.enqueue(req, 0);
+    }
+
+    /// The whole-queue linear pick the per-slot lookup replaced, kept as
+    /// the differential oracle: every queued request competes for its
+    /// (rank, bank) under the engine's pass-1 order — `(is_hit desc,
+    /// seq)` when it orders hits first, plain `seq` otherwise — and each
+    /// bank's winner becomes a candidate, in (rank, bank) order. The
+    /// walk visits the requests youngest slot first and youngest first
+    /// within a slot, so it cannot lean on the index's arrival order.
+    fn oracle_candidates(c: &MemController, queue: &BankQueue) -> Vec<Candidate> {
+        let prefers = |a: (bool, u64), b: (bool, u64)| {
+            if c.sched.hits_first() {
+                (a.0 && !b.0) || (a.0 == b.0 && a.1 < b.1)
+            } else {
+                a.1 < b.1
+            }
+        };
+        let view = |p: &Pending| {
+            let loc = p.req.loc;
+            let hit = c.ranks[loc.rank].row_state(loc.bank, loc.row) == RowBufferState::Hit;
+            (hit, p.seq)
+        };
+        let mut best: Vec<Option<(usize, usize)>> = vec![None; queue.slots.len()];
+        for (slot, list) in queue.slots.iter().enumerate().rev() {
+            for (i, p) in list.iter().enumerate().rev() {
+                let bank = p.req.loc.rank * c.cfg.banks + p.req.loc.bank;
+                let cur = &mut best[bank];
+                if cur.is_none_or(|(s, j)| prefers(view(p), view(&queue.slots[s][j]))) {
+                    *cur = Some((slot, i));
+                }
+            }
+        }
+        best.into_iter()
+            .flatten()
+            .map(|(slot, i)| c.candidate(&queue.slots[slot], i, c.now))
+            .collect()
+    }
+
+    #[test]
+    fn indexed_candidates_match_the_linear_scan_oracle() {
+        // Random deep streams (hot rows for hits, random lines for
+        // conflicts, arrivals far faster than service), checked before
+        // every scheduling step of the drain, on both queues.
+        let key = |c: &Candidate| (c.rank, c.bank, c.cmd, c.ready, c.is_hit, c.seq);
+        let engines = [
+            SchedPolicy::FrFcfs,
+            SchedPolicy::Fcfs,
+            SchedPolicy::FrFcfsCap { cap: 2 },
+            SchedPolicy::BankRr { batch: 3 },
+        ];
+        let mut rng = gsdram_core::rng::SplitMix(0xD1FF_0001);
+        let mut capped_steps = 0u64;
+        for case in 0..16 {
+            let ranks = 1 + case % 2;
+            let map = AddressMap::with_ranks(
+                64,
+                128,
+                8,
+                ranks as u64,
+                crate::mapping::Interleave::ColumnFirst,
+            );
+            let cfg = ControllerConfig {
+                policy: engines[case / 2 % 4],
+                row_policy: if case / 8 == 0 {
+                    RowPolicy::Open
+                } else {
+                    RowPolicy::Closed
+                },
+                ranks,
+                write_high_watermark: 16,
+                write_low_watermark: 4,
+                ..ControllerConfig::default()
+            };
+            let mut c = MemController::new(cfg);
+            let mut hub = EventHub::new();
+            let mut hot = rng.below(1 << 20) * 64;
+            let mut at = 0;
+            for id in 0..rng.range(200, 400) {
+                at += rng.below(6);
+                let addr = if rng.below(3) == 0 {
+                    hot += 64;
+                    hot
+                } else {
+                    rng.below(1 << 24) * 64
+                };
+                let kind = if rng.below(4) == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let req = MemRequest {
+                    id,
+                    loc: map.decompose(addr),
+                    pattern: PatternId(0),
+                    kind,
+                };
+                c.enqueue(req, at);
+            }
+            let mut cands = Vec::new();
+            while c.pending() > 0 {
+                for queue in [&c.readq, &c.writeq] {
+                    c.candidates_into(queue, c.now, &mut cands);
+                    let oracle = oracle_candidates(&c, queue);
+                    assert_eq!(
+                        cands.iter().map(key).collect::<Vec<_>>(),
+                        oracle.iter().map(key).collect::<Vec<_>>(),
+                        "case {case} at {}",
+                        c.now
+                    );
+                }
+                capped_steps += u64::from(!c.sched.hits_first());
+                assert!(c.step(Cycles::MAX, &mut hub), "case {case}: stalled");
+            }
+        }
+        assert!(
+            capped_steps > 0,
+            "FR-FCFS-Cap never reached its capped phase"
+        );
     }
 }

@@ -3,9 +3,13 @@
 //!
 //! The controller picks the next DRAM command in two passes (DESIGN.md
 //! §3.5): pass 1 chooses one *representative* request per (rank, bank)
-//! pair; pass 2 picks the globally best representative. Both passes
-//! delegate their ordering decisions to a [`Scheduler`] engine, so the
-//! policy is a swappable stage rather than a hard-coded branch:
+//! pair; pass 2 picks the globally best representative. The controller
+//! keeps each (rank, bank) pair's requests in its own list in arrival
+//! (`seq`) order, so pass 1 is a lookup: the first request hitting the
+//! open row when the engine's [`Scheduler::hits_first`] holds, else the
+//! list's head. Pass 2 is the engine's [`Scheduler::select`]. Both
+//! decisions belong to a [`Scheduler`] engine, so the policy is a
+//! swappable stage rather than a hard-coded branch:
 //!
 //! * [`FrFcfs`] — the paper's Table 1 policy: row hits first, then
 //!   oldest-first. Produces the §5.1 inter-thread starvation.
@@ -105,22 +109,12 @@ impl SchedPolicy {
     }
 }
 
-/// The per-request view pass 1 orders by: whether the request's next
-/// column command would hit the open row, and its arrival sequence
-/// number (smaller = older).
-#[derive(Debug, Clone, Copy)]
-pub struct QueueView {
-    /// Whether the request hits the currently open row of its bank.
-    pub is_hit: bool,
-    /// Arrival sequence number within the controller.
-    pub seq: u64,
-}
-
 /// A per-(rank, bank) representative request with its next command and
 /// the earliest cycle that command could legally issue.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate {
-    /// Index of the represented request in its queue.
+    /// Index of the represented request within its (rank, bank) slot's
+    /// arrival-ordered list (not within the whole queue).
     pub queue_idx: usize,
     /// Rank the command targets.
     pub rank: usize,
@@ -175,16 +169,18 @@ impl SchedFeedback {
     };
 }
 
-/// A command-selection engine. See the module docs for the contract;
-/// `prefers` must be a strict ordering criterion (irreflexive), and
+/// A command-selection engine. See the module docs for the contract:
+/// pass 1 is `hits_first` over arrival-ordered per-bank lists, and
 /// `select` must be deterministic in `cands` and engine state.
 ///
 /// `Send` so a whole controller can move to a shard thread during the
 /// channel-sharded advance ([`crate::shard`]); engines are plain data,
 /// never shared between threads.
 pub trait Scheduler: std::fmt::Debug + Send {
-    /// Pass 1: whether request `a` should represent its bank over `b`.
-    fn prefers(&self, a: QueueView, b: QueueView) -> bool;
+    /// Pass 1: whether a bank is represented by its oldest request that
+    /// hits the open row (`true`: the order `(is_hit desc, seq)`) or by
+    /// its oldest request outright (`false`: plain `seq` order).
+    fn hits_first(&self) -> bool;
 
     /// Pass 2: index into `cands` of the command to issue next.
     ///
@@ -237,8 +233,8 @@ fn select_oldest(cands: &[Candidate]) -> usize {
 pub struct FrFcfs;
 
 impl Scheduler for FrFcfs {
-    fn prefers(&self, a: QueueView, b: QueueView) -> bool {
-        (a.is_hit && !b.is_hit) || (a.is_hit == b.is_hit && a.seq < b.seq)
+    fn hits_first(&self) -> bool {
+        true
     }
 
     fn select(&self, cands: &[Candidate]) -> usize {
@@ -251,8 +247,8 @@ impl Scheduler for FrFcfs {
 pub struct Fcfs;
 
 impl Scheduler for Fcfs {
-    fn prefers(&self, a: QueueView, b: QueueView) -> bool {
-        a.seq < b.seq
+    fn hits_first(&self) -> bool {
+        false
     }
 
     fn select(&self, cands: &[Candidate]) -> usize {
@@ -282,12 +278,8 @@ impl FrFcfsCap {
 }
 
 impl Scheduler for FrFcfsCap {
-    fn prefers(&self, a: QueueView, b: QueueView) -> bool {
-        if self.capped() {
-            a.seq < b.seq
-        } else {
-            FrFcfs.prefers(a, b)
-        }
+    fn hits_first(&self) -> bool {
+        !self.capped()
     }
 
     fn select(&self, cands: &[Candidate]) -> usize {
@@ -348,10 +340,10 @@ impl BankRr {
 }
 
 impl Scheduler for BankRr {
-    fn prefers(&self, a: QueueView, b: QueueView) -> bool {
+    fn hits_first(&self) -> bool {
         // Within a bank the batch is served oldest-first, so a bank
         // cannot starve its own old requests behind younger hits.
-        a.seq < b.seq
+        false
     }
 
     fn select(&self, cands: &[Candidate]) -> usize {
@@ -409,10 +401,6 @@ mod tests {
         }
     }
 
-    fn view(is_hit: bool, seq: u64) -> QueueView {
-        QueueView { is_hit, seq }
-    }
-
     #[test]
     fn policy_labels_round_trip_through_parse() {
         for p in [
@@ -453,10 +441,7 @@ mod tests {
     #[test]
     fn frfcfs_orders_hits_then_age() {
         let s = FrFcfs;
-        assert!(s.prefers(view(true, 9), view(false, 1)));
-        assert!(!s.prefers(view(false, 1), view(true, 9)));
-        assert!(s.prefers(view(true, 1), view(true, 2)));
-        assert!(s.prefers(view(false, 1), view(false, 2)));
+        assert!(s.hits_first());
         // Global: readiness first, then hit, then age.
         let cands = [
             cand(0, 0, 0, 10, false, 0),
@@ -468,14 +453,14 @@ mod tests {
 
     #[test]
     fn fcfs_ignores_hits() {
-        let s = Fcfs;
-        assert!(!s.prefers(view(true, 9), view(false, 1)));
-        assert!(s.prefers(view(false, 1), view(true, 9)));
+        assert!(!Fcfs.hits_first());
+        assert!(!BankRr::new(1, 1, 8).hits_first());
     }
 
     #[test]
     fn cap_engine_switches_to_oldest_first_and_reports() {
         let mut s = FrFcfsCap::new(2);
+        assert!(s.hits_first());
         // Two row-hit bypasses of the oldest request (seq 1)...
         for seq in [5, 6] {
             let fb = s.on_retire(Retired {
@@ -488,7 +473,7 @@ mod tests {
         }
         // ...flip both passes to oldest-first.
         assert!(s.capped());
-        assert!(s.prefers(view(false, 1), view(true, 9)));
+        assert!(!s.hits_first());
         let cands = [cand(0, 0, 0, 5, true, 9), cand(1, 0, 1, 5, false, 1)];
         assert_eq!(s.select(&cands), 1);
         // Serving the oldest is the promotion, and resets the count.
@@ -500,6 +485,7 @@ mod tests {
         });
         assert!(fb.promoted && !fb.hit_bypass);
         assert!(!s.capped());
+        assert!(s.hits_first());
         // Non-hit bypasses neither count nor promote.
         let fb = s.on_retire(Retired {
             seq: 7,
