@@ -134,7 +134,6 @@ pub struct EvictedLine {
 
 #[derive(Debug, Clone)]
 struct Slot {
-    valid: bool,
     key: LineKey,
     dirty: bool,
     lru: u64,
@@ -206,7 +205,7 @@ impl SetAssocCache {
         let gen = self.lru_gen;
         let set = self.set_index(key);
         for slot in &mut self.sets[set] {
-            if slot.valid && slot.key == key {
+            if slot.key == key {
                 slot.lru = gen;
                 if write {
                     slot.dirty = true;
@@ -222,15 +221,13 @@ impl SetAssocCache {
     /// Whether `key` is present, without touching LRU or statistics.
     pub fn contains(&self, key: LineKey) -> bool {
         let set = self.set_index(key);
-        self.sets[set].iter().any(|s| s.valid && s.key == key)
+        self.sets[set].iter().any(|s| s.key == key)
     }
 
     /// Whether `key` is present and dirty (no LRU/stat effects).
     pub fn is_dirty(&self, key: LineKey) -> bool {
         let set = self.set_index(key);
-        self.sets[set]
-            .iter()
-            .any(|s| s.valid && s.key == key && s.dirty)
+        self.sets[set].iter().any(|s| s.key == key && s.dirty)
     }
 
     /// Immutable view of a resident line's words.
@@ -238,20 +235,17 @@ impl SetAssocCache {
         let set = self.set_index(key);
         self.sets[set]
             .iter()
-            .find(|s| s.valid && s.key == key)
+            .find(|s| s.key == key)
             .map(|s| s.data.as_slice())
     }
 
     /// Mutable view of a resident line's words; marks it dirty.
     pub fn data_mut(&mut self, key: LineKey) -> Option<&mut [u64]> {
         let set = self.set_index(key);
-        self.sets[set]
-            .iter_mut()
-            .find(|s| s.valid && s.key == key)
-            .map(|s| {
-                s.dirty = true;
-                s.data.as_mut_slice()
-            })
+        self.sets[set].iter_mut().find(|s| s.key == key).map(|s| {
+            s.dirty = true;
+            s.data.as_mut_slice()
+        })
     }
 
     /// Inserts a clean line, evicting the LRU way if the set is full.
@@ -274,7 +268,6 @@ impl SetAssocCache {
         let assoc = self.cfg.assoc;
         let set = &mut self.sets[set_idx];
         let new_slot = Slot {
-            valid: true,
             key,
             dirty: false,
             lru: gen,
@@ -284,11 +277,8 @@ impl SetAssocCache {
             set.push(new_slot);
             return None;
         }
-        // Evict the LRU valid slot (or reuse an invalid one).
-        if let Some(pos) = set.iter().position(|s| !s.valid) {
-            set[pos] = new_slot;
-            return None;
-        }
+        // Every slot is resident (invalidation removes slots): evict
+        // the LRU one.
         #[expect(clippy::expect_used, reason = "set.len() == assoc >= 1 on this path")]
         let pos = set
             .iter()
@@ -322,9 +312,7 @@ impl SetAssocCache {
     /// Removes `key` if present; returns it (for writeback when dirty).
     pub fn invalidate(&mut self, key: LineKey) -> Option<EvictedLine> {
         let set = self.set_index(key);
-        let pos = self.sets[set]
-            .iter()
-            .position(|s| s.valid && s.key == key)?;
+        let pos = self.sets[set].iter().position(|s| s.key == key)?;
         let victim = self.sets[set].swap_remove(pos);
         self.stats.invalidations += 1;
         if victim.dirty {
@@ -339,12 +327,7 @@ impl SetAssocCache {
 
     /// All resident keys (diagnostics/tests).
     pub fn resident_keys(&self) -> Vec<LineKey> {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|s| s.valid)
-            .map(|s| s.key)
-            .collect()
+        self.sets.iter().flatten().map(|s| s.key).collect()
     }
 }
 

@@ -24,7 +24,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::IterProgram;
+use crate::common::{loop_indices, IterProgram};
 
 /// The GEMM mechanisms compared in Figure 13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,133 +171,114 @@ pub fn program(g: Gemm, sample_outer: Option<usize>) -> (IterProgram, (usize, us
 fn naive(g: Gemm, sample: Option<usize>) -> (IterProgram, (usize, usize)) {
     let n = g.n;
     let rows = sample.map_or(n, |s| s.min(n));
-    // for i { for j { acc = 0; for k { acc += A[i][k] * B[k][j] } } }
-    let ops = (0..rows).flat_map(move |i| {
-        (0..n).flat_map(move |j| {
-            (0..n).step_by(8).flat_map(move |k| {
-                // One A line per 8 k; 8 B loads (column walk); 8 fma + idx.
-                let mut v: Vec<Op> = Vec::with_capacity(10);
-                v.push(Op::Load {
-                    pc: 0xA00,
-                    addr: g.a_addr(i, k),
-                    pattern: PatternId(0),
-                });
-                for kk in 0..8 {
-                    v.push(Op::Load {
-                        pc: 0xB00,
-                        addr: g.b_addr(k + kk, j),
-                        pattern: PatternId(0),
-                    });
-                }
-                v.push(Op::Compute(11)); // 8 fma + 3 loop/address ops
-                v
-            })
-        })
+    // for i { for j { acc = 0; for k { acc += A[i][k] * B[k][j] } } },
+    // k in steps of 8.
+    let trips = [rows as u64, n as u64, (n / 8) as u64];
+    let program = IterProgram::new(trips.iter().product(), move |b, v| {
+        let [i, j, ks] = loop_indices(b, trips).map(|x| x as usize);
+        let k = ks * 8;
+        // One A line per 8 k; 8 B loads (column walk); 8 fma + idx.
+        v.push(Op::Load {
+            pc: 0xA00,
+            addr: g.a_addr(i, k),
+            pattern: PatternId(0),
+        });
+        for kk in 0..8 {
+            v.push(Op::Load {
+                pc: 0xB00,
+                addr: g.b_addr(k + kk, j),
+                pattern: PatternId(0),
+            });
+        }
+        v.push(Op::Compute(11)); // 8 fma + 3 loop/address ops
     });
-    (IterProgram::new(Box::new(ops)), (n, rows))
+    (program, (n, rows))
 }
 
-fn tiled_scalar(g: Gemm, t: usize, sample: Option<usize>) -> (IterProgram, (usize, usize)) {
+/// The cache-blocked loop nest both tiled variants share, outermost
+/// first: row-tile stripe `ti` (the sampled loop), column tile `tj`,
+/// depth tile `tk`, column `jj` within the tile, then 8-element steps
+/// of `k` and of `i` within it. Each block is one 8×8×8 micro-kernel
+/// at `(i0, j, k)`.
+fn tiled_blocks(
+    g: Gemm,
+    t: usize,
+    sample: Option<usize>,
+    mut kernel: impl FnMut(usize, usize, usize, &mut Vec<Op>) + 'static,
+) -> (IterProgram, (usize, usize)) {
     let n = g.n;
     let stripes = n / t;
     let run = sample.map_or(stripes, |s| s.min(stripes));
-    let ops = (0..run).flat_map(move |ti| {
-        (0..n / t).flat_map(move |tj| {
-            (0..n / t).flat_map(move |tk| {
-                (0..t).flat_map(move |jj| {
-                    let j = tj * t + jj;
-                    (0..t).step_by(8).flat_map(move |ks| {
-                        let k = tk * t + ks;
-                        (0..t).step_by(8).flat_map(move |is| {
-                            let i0 = ti * t + is;
-                            // 8 scalar B loads, then per row: A line +
-                            // 8 scalar fma.
-                            let mut v: Vec<Op> = Vec::with_capacity(18);
-                            for kk in 0..8 {
-                                v.push(Op::Load {
-                                    pc: 0xB10,
-                                    addr: g.b_addr(k + kk, j),
-                                    pattern: PatternId(0),
-                                });
-                            }
-                            for r in 0..8 {
-                                v.push(Op::Load {
-                                    pc: 0xA10 + r as u64,
-                                    addr: g.a_addr(i0 + r, k),
-                                    pattern: PatternId(0),
-                                });
-                                v.push(Op::Compute(11));
-                            }
-                            v.push(Op::Compute(2));
-                            v
-                        })
-                    })
-                })
-            })
-        })
+    let tiles = (n / t) as u64;
+    let steps = (t / 8) as u64;
+    let trips = [run as u64, tiles, tiles, t as u64, steps, steps];
+    let program = IterProgram::new(trips.iter().product(), move |b, v| {
+        let [ti, tj, tk, jj, ks, is] = loop_indices(b, trips).map(|x| x as usize);
+        kernel(ti * t + is * 8, tj * t + jj, tk * t + ks * 8, v);
     });
-    (IterProgram::new(Box::new(ops)), (stripes, run))
+    (program, (stripes, run))
+}
+
+fn tiled_scalar(g: Gemm, t: usize, sample: Option<usize>) -> (IterProgram, (usize, usize)) {
+    tiled_blocks(g, t, sample, move |i0, j, k, v| {
+        // 8 scalar B loads, then per row: A line + 8 scalar fma.
+        for kk in 0..8 {
+            v.push(Op::Load {
+                pc: 0xB10,
+                addr: g.b_addr(k + kk, j),
+                pattern: PatternId(0),
+            });
+        }
+        for r in 0..8 {
+            v.push(Op::Load {
+                pc: 0xA10 + r as u64,
+                addr: g.a_addr(i0 + r, k),
+                pattern: PatternId(0),
+            });
+            v.push(Op::Compute(11));
+        }
+        v.push(Op::Compute(2));
+    })
 }
 
 /// The shared tiled-SIMD structure; `gs` selects the B-column access:
 /// software gather (8 scalar loads + 4 packs) vs 4 pattern-7 `pattload`s
 /// into xmm registers.
 fn tiled_simd(g: Gemm, t: usize, sample: Option<usize>, gs: bool) -> (IterProgram, (usize, usize)) {
-    let n = g.n;
-    let stripes = n / t;
-    let run = sample.map_or(stripes, |s| s.min(stripes));
-    let ops = (0..run).flat_map(move |ti| {
-        (0..n / t).flat_map(move |tj| {
-            (0..n / t).flat_map(move |tk| {
-                (0..t).flat_map(move |jj| {
-                    let j = tj * t + jj;
-                    (0..t).step_by(8).flat_map(move |ks| {
-                        let k = tk * t + ks;
-                        (0..t).step_by(8).flat_map(move |is| {
-                            let i0 = ti * t + is;
-                            let mut v: Vec<Op> = Vec::with_capacity(16);
-                            if gs {
-                                // 4 × pattload xmm: B[k..k+8][j], two
-                                // column values per load, one gathered
-                                // line for all four.
-                                for kk in (0..8).step_by(2) {
-                                    v.push(Op::Load16 {
-                                        pc: 0xB20,
-                                        addr: g.b_gather_addr(k + kk, j),
-                                        pattern: PatternId(7),
-                                    });
-                                }
-                            } else {
-                                // Software gather: 8 scalar loads + 4
-                                // packs (unpcklpd).
-                                for kk in 0..8 {
-                                    v.push(Op::Load {
-                                        pc: 0xB30,
-                                        addr: g.b_addr(k + kk, j),
-                                        pattern: PatternId(0),
-                                    });
-                                }
-                                v.push(Op::Compute(4));
-                            }
-                            // 8 A rows × (one A line as 4 xmm loads → 1
-                            // line access + 3 issue slots, 4 SIMD fma).
-                            for r in 0..8 {
-                                v.push(Op::Load16 {
-                                    pc: 0xA20 + r as u64,
-                                    addr: g.a_addr(i0 + r, k),
-                                    pattern: PatternId(0),
-                                });
-                                v.push(Op::Compute(7));
-                            }
-                            v.push(Op::Compute(2));
-                            v
-                        })
-                    })
-                })
-            })
-        })
-    });
-    (IterProgram::new(Box::new(ops)), (stripes, run))
+    tiled_blocks(g, t, sample, move |i0, j, k, v| {
+        if gs {
+            // 4 × pattload xmm: B[k..k+8][j], two column values per
+            // load, one gathered line for all four.
+            for kk in (0..8).step_by(2) {
+                v.push(Op::Load16 {
+                    pc: 0xB20,
+                    addr: g.b_gather_addr(k + kk, j),
+                    pattern: PatternId(7),
+                });
+            }
+        } else {
+            // Software gather: 8 scalar loads + 4 packs (unpcklpd).
+            for kk in 0..8 {
+                v.push(Op::Load {
+                    pc: 0xB30,
+                    addr: g.b_addr(k + kk, j),
+                    pattern: PatternId(0),
+                });
+            }
+            v.push(Op::Compute(4));
+        }
+        // 8 A rows × (one A line as 4 xmm loads → 1 line access + 3
+        // issue slots, 4 SIMD fma).
+        for r in 0..8 {
+            v.push(Op::Load16 {
+                pc: 0xA20 + r as u64,
+                addr: g.a_addr(i0 + r, k),
+                pattern: PatternId(0),
+            });
+            v.push(Op::Compute(7));
+        }
+        v.push(Op::Compute(2));
+    })
 }
 
 #[cfg(test)]

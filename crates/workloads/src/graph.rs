@@ -14,7 +14,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::{IterProgram, SplitMix};
+use crate::common::{IterProgram, SplitMix, SCAN_CHUNK};
 
 /// Node-array storage mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,71 +77,56 @@ impl Graph {
 /// A traversal pass summing field `field` of every node (e.g. a
 /// PageRank accumulation over ranks).
 pub fn scan(g: Graph, field: usize) -> IterProgram {
-    let ops: Box<dyn Iterator<Item = Op>> = match g.layout {
-        GraphLayout::NodeMajor => Box::new((0..g.nodes).flat_map(move |v| {
-            [
-                Op::Load {
-                    pc: 0xD00,
-                    addr: g.field_addr(v, field),
-                    pattern: PatternId(0),
-                },
-                Op::Compute(1),
-            ]
-        })),
-        GraphLayout::GsDram => Box::new((0..g.nodes / 8).flat_map(move |grp| {
-            (0..8u64).flat_map(move |k| {
-                [
-                    Op::Load {
-                        pc: 0xD10,
-                        addr: g.base + (8 * grp + field as u64) * 64 + 8 * k,
-                        pattern: PatternId(7),
-                    },
-                    Op::Compute(1),
-                ]
+    match g.layout {
+        GraphLayout::NodeMajor => {
+            IterProgram::new(g.nodes.div_ceil(SCAN_CHUNK), move |chunk, ops| {
+                let first = chunk * SCAN_CHUNK;
+                for v in first..(first + SCAN_CHUNK).min(g.nodes) {
+                    ops.push(Op::Load {
+                        pc: 0xD00,
+                        addr: g.field_addr(v, field),
+                        pattern: PatternId(0),
+                    });
+                    ops.push(Op::Compute(1));
+                }
             })
-        })),
-    };
-    IterProgram::new(ops)
+        }
+        GraphLayout::GsDram => IterProgram::new(g.nodes / 8, move |grp, ops| {
+            for k in 0..8 {
+                ops.push(Op::Load {
+                    pc: 0xD10,
+                    addr: g.base + (8 * grp + field as u64) * 64 + 8 * k,
+                    pattern: PatternId(7),
+                });
+                ops.push(Op::Compute(1));
+            }
+        }),
+    }
 }
 
 /// `count` node updates: each reads three fields of a random node and
 /// writes two (pattern 0 on both layouts — one cache line per node).
 pub fn updates(g: Graph, count: u64, seed: u64) -> IterProgram {
     let mut rng = SplitMix(seed);
-    let ops = (0..count).flat_map(move |_| {
+    IterProgram::with_block_units(count, move |_, ops| {
         let v = rng.below(g.nodes);
-        [
-            Op::Load {
-                pc: 0xD20,
-                addr: g.field_addr(v, 0),
+        for (pc, f) in [(0xD20, 0), (0xD21, 1), (0xD22, 2)] {
+            ops.push(Op::Load {
+                pc,
+                addr: g.field_addr(v, f),
                 pattern: PatternId(0),
-            },
-            Op::Load {
-                pc: 0xD21,
-                addr: g.field_addr(v, 1),
-                pattern: PatternId(0),
-            },
-            Op::Load {
-                pc: 0xD22,
-                addr: g.field_addr(v, 2),
-                pattern: PatternId(0),
-            },
-            Op::Store {
-                pc: 0xD23,
-                addr: g.field_addr(v, 0),
+            });
+        }
+        for (pc, f) in [(0xD23, 0), (0xD24, 3)] {
+            ops.push(Op::Store {
+                pc,
+                addr: g.field_addr(v, f),
                 pattern: PatternId(0),
                 value: rng.next_u64(),
-            },
-            Op::Store {
-                pc: 0xD24,
-                addr: g.field_addr(v, 3),
-                pattern: PatternId(0),
-                value: rng.next_u64(),
-            },
-            Op::Compute(8),
-        ]
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(8)))
+            });
+        }
+        ops.push(Op::Compute(8));
+    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::{IterProgram, SplitMix};
+use crate::common::{loop_indices, IterProgram, SplitMix, SCAN_CHUNK};
 
 /// Fields per tuple (the paper's 64-byte tuples).
 pub const FIELDS: usize = 8;
@@ -172,16 +172,19 @@ pub fn transactions(table: Table, spec: TxnSpec, count: u64, seed: u64) -> IterP
     let mut rng = SplitMix(seed);
     let per_txn = spec.fields();
     assert!(per_txn <= FIELDS, "at most 8 fields per transaction");
-    let ops = (0..count).flat_map(move |_| {
+    IterProgram::with_block_units(count, move |_, ops| {
         let t = rng.below(table.tuples);
-        // Choose `per_txn` distinct fields.
+        // Choose `per_txn` distinct fields: draw from the `left` fields
+        // still available, swap-removing each pick.
         let mut fields = [0usize; FIELDS];
-        let mut available: Vec<usize> = (0..FIELDS).collect();
+        let mut available: [usize; FIELDS] = std::array::from_fn(|f| f);
+        let mut left = FIELDS;
         for slot in fields.iter_mut().take(per_txn) {
-            let i = rng.below(available.len() as u64) as usize;
-            *slot = available.swap_remove(i);
+            let i = rng.below(left as u64) as usize;
+            *slot = available[i];
+            left -= 1;
+            available[i] = available[left];
         }
-        let mut ops: Vec<Op> = Vec::with_capacity(per_txn * 2 + 1);
         let mut idx = 0;
         for _ in 0..spec.read_only {
             let addr = table.field_addr(t, fields[idx]);
@@ -224,9 +227,7 @@ pub fn transactions(table: Table, spec: TxnSpec, count: u64, seed: u64) -> IterP
         // bookkeeping (calibrates the memory share of a transaction to
         // the paper's Figure 9 ratios).
         ops.push(Op::Compute(150));
-        ops
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(150)))
+    })
 }
 
 /// Builds the analytics program: the sum of `columns` fields over the
@@ -239,54 +240,52 @@ pub fn transactions(table: Table, spec: TxnSpec, count: u64, seed: u64) -> IterP
 ///   `pattload` line per field gathered with pattern 7.
 pub fn analytics(table: Table, columns: &[usize]) -> IterProgram {
     let columns = columns.to_vec();
-    let ops: Box<dyn Iterator<Item = Op>> = match table.layout {
-        Layout::RowStore => {
-            let cols = columns.clone();
-            Box::new((0..table.tuples).flat_map(move |t| {
-                let table = table;
-                let per: Vec<Op> = cols
-                    .iter()
-                    .map(|&f| Op::Load {
-                        pc: 0x500 + f as u64,
-                        addr: table.field_addr(t, f),
-                        pattern: PatternId(0),
-                    })
-                    .chain(std::iter::once(Op::Compute(1)))
-                    .collect();
-                per
-            }))
-        }
-        Layout::ColumnStore => Box::new(columns.clone().into_iter().flat_map(move |f| {
-            (0..table.tuples).flat_map(move |t| {
-                [
-                    Op::Load {
+    let ncols = columns.len() as u64;
+    match table.layout {
+        Layout::RowStore => IterProgram::new(table.tuples, move |t, ops| {
+            for &f in &columns {
+                ops.push(Op::Load {
+                    pc: 0x500 + f as u64,
+                    addr: table.field_addr(t, f),
+                    pattern: PatternId(0),
+                });
+            }
+            ops.push(Op::Compute(1));
+        }),
+        Layout::ColumnStore => {
+            let chunks = table.tuples.div_ceil(SCAN_CHUNK);
+            IterProgram::new(ncols * chunks, move |b, ops| {
+                let [c, chunk] = loop_indices(b, [ncols, chunks]);
+                let f = columns[c as usize];
+                let first = chunk * SCAN_CHUNK;
+                for t in first..(first + SCAN_CHUNK).min(table.tuples) {
+                    ops.push(Op::Load {
                         pc: 0x600 + f as u64,
                         addr: table.field_addr(t, f),
                         pattern: PatternId(0),
-                    },
-                    Op::Compute(1),
-                ]
+                    });
+                    ops.push(Op::Compute(1));
+                }
             })
-        })),
-        Layout::GsDram => Box::new(columns.clone().into_iter().flat_map(move |f| {
+        }
+        Layout::GsDram => {
             let groups = table.tuples / 8;
-            (0..groups).flat_map(move |g| {
+            IterProgram::new(ncols * groups, move |b, ops| {
+                let [c, g] = loop_indices(b, [ncols, groups]);
+                let f = columns[c as usize] as u64;
                 // pattload arr[8g + f] + 8k, pattern 7 → field f of tuple
                 // 8g + k (Figure 8 / §4.3).
-                (0..8u64).flat_map(move |k| {
-                    [
-                        Op::Load {
-                            pc: 0x700 + f as u64,
-                            addr: table.base + (8 * g + f as u64) * 64 + 8 * k,
-                            pattern: PatternId(7),
-                        },
-                        Op::Compute(1),
-                    ]
-                })
+                for k in 0..8 {
+                    ops.push(Op::Load {
+                        pc: 0x700 + f,
+                        addr: table.base + (8 * g + f) * 64 + 8 * k,
+                        pattern: PatternId(7),
+                    });
+                    ops.push(Op::Compute(1));
+                }
             })
-        })),
-    };
-    IterProgram::new(ops)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -96,30 +96,19 @@ impl KvStore {
 /// targets within `scan_len`.
 pub fn lookups(kv: KvStore, scan_len: u64, lookups: u64, seed: u64) -> IterProgram {
     let mut rng = SplitMix(seed);
-    let ops = (0..lookups).flat_map(move |_| {
+    let (pc, pattern) = match kv.layout {
+        KvLayout::Interleaved => (0xC00, PatternId(0)),
+        KvLayout::GsDram => (0xC10, PatternId(1)),
+    };
+    IterProgram::with_block_units(lookups, move |_, v| {
         let target = rng.below(scan_len);
-        let mut v: Vec<Op> = Vec::new();
-        match kv.layout {
-            KvLayout::Interleaved => {
-                for i in 0..=target {
-                    v.push(Op::Load {
-                        pc: 0xC00,
-                        addr: kv.key_addr(i),
-                        pattern: PatternId(0),
-                    });
-                    v.push(Op::Compute(1)); // compare + branch
-                }
-            }
-            KvLayout::GsDram => {
-                for i in 0..=target {
-                    v.push(Op::Load {
-                        pc: 0xC10,
-                        addr: kv.key_gather_addr(i),
-                        pattern: PatternId(1),
-                    });
-                    v.push(Op::Compute(1));
-                }
-            }
+        for i in 0..=target {
+            let addr = match kv.layout {
+                KvLayout::Interleaved => kv.key_addr(i),
+                KvLayout::GsDram => kv.key_gather_addr(i),
+            };
+            v.push(Op::Load { pc, addr, pattern });
+            v.push(Op::Compute(1)); // compare + branch
         }
         v.push(Op::Load {
             pc: 0xC20,
@@ -127,34 +116,29 @@ pub fn lookups(kv: KvStore, scan_len: u64, lookups: u64, seed: u64) -> IterProgr
             pattern: PatternId(0),
         });
         v.push(Op::Compute(5));
-        v
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(5)))
+    })
 }
 
 /// Inserts `count` pairs at random slots (key + value writes — one line
 /// on either layout).
 pub fn inserts(kv: KvStore, count: u64, seed: u64) -> IterProgram {
     let mut rng = SplitMix(seed);
-    let ops = (0..count).flat_map(move |_| {
+    IterProgram::with_block_units(count, move |_, v| {
         let i = rng.below(kv.pairs);
-        [
-            Op::Store {
-                pc: 0xC30,
-                addr: kv.key_addr(i),
-                pattern: PatternId(0),
-                value: rng.next_u64() | 1,
-            },
-            Op::Store {
-                pc: 0xC40,
-                addr: kv.value_addr(i),
-                pattern: PatternId(0),
-                value: rng.next_u64(),
-            },
-            Op::Compute(5),
-        ]
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(5)))
+        v.push(Op::Store {
+            pc: 0xC30,
+            addr: kv.key_addr(i),
+            pattern: PatternId(0),
+            value: rng.next_u64() | 1,
+        });
+        v.push(Op::Store {
+            pc: 0xC40,
+            addr: kv.value_addr(i),
+            pattern: PatternId(0),
+            value: rng.next_u64(),
+        });
+        v.push(Op::Compute(5));
+    })
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! * [`filter`] — a data-dependent selective-projection query (an
 //!   extension experiment: scan benefit vs selectivity crossover);
 //! * [`transpose`] — matrix transpose via gathered tile columns;
-//! * [`common`] — lazy program plumbing and a deterministic RNG.
+//! * [`common`] — block-generated program plumbing and a deterministic RNG.
 
 // The determinism contract (docs/LINTS.md), for non-test code: the
 // clippy.toml type and method lists, no panicking shortcuts and

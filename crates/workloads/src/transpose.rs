@@ -13,7 +13,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::IterProgram;
+use crate::common::{loop_indices, IterProgram};
 
 /// Source-matrix storage for the transpose kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,32 +104,30 @@ impl Transpose {
 /// column segment) and stores it contiguously into `dst[j][i0..]`.
 pub fn program(t: Transpose) -> IterProgram {
     let n = t.n;
-    let ops = (0..n).flat_map(move |j| {
-        (0..n).step_by(8).flat_map(move |i0| {
-            let mut v: Vec<Op> = Vec::with_capacity(18);
-            for k in 0..8 {
-                let i = i0 + k;
-                let (pc, addr, pattern) = match t.layout {
-                    TransposeLayout::RowMajor => (0xE00, t.src_addr(i, j), PatternId(0)),
-                    TransposeLayout::GsDram => (0xE10, t.gather_addr(i, j), PatternId(7)),
-                };
-                v.push(Op::Load { pc, addr, pattern });
-                v.push(Op::Store {
-                    pc: 0xE20,
-                    addr: t.dst_addr(j, i),
-                    pattern: PatternId(0),
-                    // The machine's functional path overwrites this with
-                    // the loaded value only in real code; here the
-                    // program stores the known source value so the
-                    // result is verifiable.
-                    value: (i * n + j) as u64,
-                });
-            }
-            v.push(Op::Compute(2));
-            v
-        })
-    });
-    IterProgram::new(Box::new(ops))
+    let trips = [n as u64, (n / 8) as u64];
+    IterProgram::new(trips.iter().product(), move |b, v| {
+        let [j, ig] = loop_indices(b, trips).map(|x| x as usize);
+        let i0 = ig * 8;
+        for k in 0..8 {
+            let i = i0 + k;
+            let (pc, addr, pattern) = match t.layout {
+                TransposeLayout::RowMajor => (0xE00, t.src_addr(i, j), PatternId(0)),
+                TransposeLayout::GsDram => (0xE10, t.gather_addr(i, j), PatternId(7)),
+            };
+            v.push(Op::Load { pc, addr, pattern });
+            v.push(Op::Store {
+                pc: 0xE20,
+                addr: t.dst_addr(j, i),
+                pattern: PatternId(0),
+                // The machine's functional path overwrites this with
+                // the loaded value only in real code; here the
+                // program stores the known source value so the
+                // result is verifiable.
+                value: (i * n + j) as u64,
+            });
+        }
+        v.push(Op::Compute(2));
+    })
 }
 
 #[cfg(test)]
