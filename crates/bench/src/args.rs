@@ -2,7 +2,10 @@
 //! `gsdram-sim`. One [`Args`] value wraps an argv slice, so the same
 //! lookups work on `std::env::args()` and on synthetic argument lists
 //! in tests — and the flag grammar (`--name value`, `--flag`,
-//! `--list a,b,c`) is defined in exactly one place.
+//! `--list a,b,c`) is defined in exactly one place, together with the
+//! table of every flag any command reads ([`Args::check_known`]).
+
+use crate::listing;
 
 /// A parsed argument list.
 #[derive(Debug, Clone, Default)]
@@ -43,8 +46,8 @@ impl Args {
         let mut seen = 0usize;
         let mut it = self.argv.iter();
         while let Some(a) = it.next() {
-            if let Some(flag) = a.strip_prefix("--") {
-                if !Self::BOOLEAN_FLAGS.contains(&flag) {
+            if a.starts_with("--") {
+                if Self::takes_value(a) {
                     it.next(); // skip this flag's value
                 }
             } else {
@@ -57,22 +60,97 @@ impl Args {
         None
     }
 
-    /// Flags that take no value — needed so [`Args::positional`] can
-    /// tell `--prefetch analytics` from `--tuples 4096`.
-    const BOOLEAN_FLAGS: &'static [&'static str] = &[
-        "prefetch",
-        "impulse",
-        "fcfs",
-        "closed-row",
-        "full",
-        "serial",
-        "list",
-        "quiet",
-        "hist",
-        "all",
-        "quick",
-        "shard",
+    /// Every flag any command reads, paired with whether it takes a
+    /// value — the value flags are what lets [`Args::positional`] tell
+    /// `--prefetch analytics` from `--tuples 4096`. A flag read
+    /// anywhere in the workspace must be listed here (pinned by a
+    /// source scan in this module's tests).
+    const FLAGS: &'static [(&'static str, bool)] = &[
+        ("--prefetch", false),
+        ("--impulse", false),
+        ("--fcfs", false),
+        ("--closed-row", false),
+        ("--full", false),
+        ("--serial", false),
+        ("--list", false),
+        ("--quiet", false),
+        ("--hist", false),
+        ("--all", false),
+        ("--quick", false),
+        ("--accesses", true),
+        ("--alloc", true),
+        ("--channels", true),
+        ("--columns", true),
+        ("--elements", true),
+        ("--file", true),
+        ("--inserts", true),
+        ("--json", true),
+        ("--layout", true),
+        ("--lines", true),
+        ("--lookups", true),
+        ("--mapping", true),
+        ("--mix", true),
+        ("--n", true),
+        ("--nodes", true),
+        ("--out", true),
+        ("--pairs", true),
+        ("--pattern", true),
+        ("--pattern-file", true),
+        ("--ranks", true),
+        ("--record", true),
+        ("--run", true),
+        ("--sched", true),
+        ("--seed", true),
+        ("--sizes", true),
+        ("--strides", true),
+        ("--threads", true),
+        ("--tile", true),
+        ("--timing", true),
+        ("--trace-cap", true),
+        ("--trace-out", true),
+        ("--trials", true),
+        ("--tuples", true),
+        ("--txns", true),
+        ("--updates", true),
+        ("--variant", true),
     ];
+
+    /// Whether `flag` consumes the next argument. Unknown flags do, so
+    /// a stray `--name value` pair never reads as a positional.
+    fn takes_value(flag: &str) -> bool {
+        Self::FLAGS
+            .iter()
+            .find(|(name, _)| *name == flag)
+            .is_none_or(|&(_, value)| value)
+    }
+
+    /// Rejects the first `--flag` that no command reads, with a "did
+    /// you mean" and the full flag listing: a mistyped or retired flag
+    /// is an error, never silently ignored.
+    pub fn check_known(&self) -> Result<(), String> {
+        let mut it = self.argv.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                continue;
+            }
+            match Self::FLAGS.iter().find(|(name, _)| name == a) {
+                Some(&(_, true)) => {
+                    it.next(); // skip this flag's value
+                }
+                Some(_) => {}
+                None => {
+                    let entries: Vec<listing::Entry> = Self::FLAGS
+                        .iter()
+                        .map(|&(name, value)| {
+                            listing::Entry::new(name, if value { "<value>" } else { "" })
+                        })
+                        .collect();
+                    return Err(listing::unknown("flag", a, "known flags", &entries));
+                }
+            }
+        }
+        Ok(())
+    }
 
     /// `--name value` lookup.
     pub fn value(&self, name: &str) -> Option<String> {
@@ -122,7 +200,7 @@ mod tests {
         assert!(a.flag("--prefetch"));
         assert!(!a.flag("--impulse"));
         assert_eq!(a.usize_list("--sizes", &[1]), vec![32, 64]);
-        assert_eq!(a.usize_list("--other", &[1]), vec![1]);
+        assert_eq!(a.usize_list("--strides", &[1]), vec![1]);
     }
 
     #[test]
@@ -138,5 +216,65 @@ mod tests {
         let c = Args::new(["--prefetch", "htap"]);
         assert_eq!(c.positional(), Some("htap"));
         assert_eq!(Args::new(["--tuples", "4096"]).positional(), None);
+    }
+
+    #[test]
+    fn unknown_flags_are_named_errors() {
+        let ok = Args::new([
+            "sweep", "fig9", "--txns", "200", "--serial", "--json", "a.json",
+        ]);
+        assert_eq!(ok.check_known(), Ok(()));
+        // A value that looks like a flag belongs to its flag.
+        assert_eq!(Args::new(["--out", "--quick"]).check_known(), Ok(()));
+        for retired in ["--shard", "--transactions"] {
+            let e = Args::new(["sweep", "fig9", retired, "200"])
+                .check_known()
+                .unwrap_err();
+            assert!(e.starts_with(&format!("unknown flag '{retired}'")), "{e}");
+            assert!(e.contains("--txns"), "the listing names every flag: {e}");
+        }
+        let e = Args::new(["--tuple", "4096"]).check_known().unwrap_err();
+        assert!(e.contains("did you mean '--tuples'"), "{e}");
+    }
+
+    /// Every `--flag` literal handed to an `Args` lookup anywhere under
+    /// `crates/` is in [`Args::FLAGS`], so `check_known` can never
+    /// reject a flag some command reads.
+    #[test]
+    fn every_flag_read_in_the_workspace_is_known() {
+        fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+            for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    walk(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut files = Vec::new();
+        walk(&crates, &mut files);
+        let mut read = Vec::new();
+        for file in &files {
+            let src = std::fs::read_to_string(file).expect("read source");
+            for lookup in [".value(", ".u64(", ".usize(", ".flag(", ".usize_list("] {
+                for (at, _) in src.match_indices(lookup) {
+                    let rest = src[at + lookup.len()..].trim_start();
+                    let Some(lit) = rest.strip_prefix("\"--") else {
+                        continue;
+                    };
+                    let name = format!("--{}", &lit[..lit.find('"').expect("closed literal")]);
+                    read.push((file.display().to_string(), name));
+                }
+            }
+        }
+        assert!(read.len() > 60, "the scan found only {} reads", read.len());
+        for (file, name) in &read {
+            assert!(
+                Args::FLAGS.iter().any(|(known, _)| known == name),
+                "{file} reads {name}, which Args::FLAGS does not list"
+            );
+        }
     }
 }

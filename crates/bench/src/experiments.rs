@@ -1703,10 +1703,6 @@ const CHANNEL_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn scale_channels_specs(args: &Args) -> Vec<RunSpec> {
     let tuples = args.u64("--tuples", 1 << 20);
-    // `--shard` only changes how the simulator spends wall-clock; the
-    // figure JSON is byte-identical either way (pinned by the engine
-    // tests), so honouring it here is safe.
-    let shard = args.flag("--shard");
     let mut v = Vec::new();
     for channels in CHANNEL_COUNTS {
         for layout in [Layout::RowStore, Layout::GsDram] {
@@ -1714,7 +1710,6 @@ fn scale_channels_specs(args: &Args) -> Vec<RunSpec> {
             // independent channels actually overlap service.
             let mut machine = MachineSpec::table1(1, table_mem(tuples)).with_prefetch();
             machine.channels = channels;
-            machine.shard = shard;
             v.push(RunSpec {
                 id: format!("scale_channels/ch{channels}/{}", slug(layout)),
                 machine,

@@ -5,7 +5,7 @@
 //! specs ([`experiments`]), a parallel sweep runner ([`sweep`]), shared
 //! command-line parsing ([`args`]), registry listing and "did you
 //! mean" errors ([`listing`]), the simulator-throughput harness
-//! ([`perf`]) behind `gsdram-bench perf`, and the micro-benchmark
+//! ([`perf`]) behind `gsdram-sim perf`, and the micro-benchmark
 //! harness ([`micro`]) used by the `benches/` targets.
 
 // The determinism contract (docs/LINTS.md), for non-test code: no wall

@@ -9,6 +9,8 @@
 //!                  [--hist] [--trace-cap N]
 //! gsdram-sim pattern <file.json|builtin> [--layout row|gs-dram]
 //! gsdram-sim pattern --list
+//! gsdram-sim perf [--quick] [--out PATH]
+//! gsdram-sim perf check <path>
 //!
 //! Workloads:
 //!   transactions   DB transactions (--layout, --txns, --mix r-w-rw)
@@ -34,6 +36,10 @@
 //!                  --run SUBSTR selects by id or --all takes them all;
 //!                  --out PATH (default trace.json), --trace-cap N
 //!                  bounds the event ring, --hist prints histograms
+//!   perf           time every registered experiment serially and
+//!                  write the throughput report (--out PATH, default
+//!                  BENCH_gsdram.json; --quick at CI-smoke scale);
+//!                  `perf check <path>` validates a report's schema
 //!
 //! Common options:
 //!   --tuples N     table/node/pair count        (default 65536)
@@ -48,10 +54,10 @@
 //!   --closed-row   closed-row buffer management
 //!   --ranks N      DRAM ranks                   (default 1; 1,2,4,8,16)
 //!   --channels N   DRAM channels                (default 1; 1,2,4,8,16)
-//!   --shard        advance channels on worker threads (bit-identical
-//!                  results, faster wall-clock on multi-channel runs)
 //!   --seed N       workload RNG seed            (default 42)
 //!   --json PATH    write the run's stats tree as JSON
+//!
+//! Any other `--flag` is an error, with a "did you mean" suggestion.
 //! ```
 
 // D2 (docs/LINTS.md): no wall-clock reads or threads from the
@@ -65,6 +71,7 @@ use std::process::ExitCode;
 use gsdram_bench::args::Args;
 use gsdram_bench::experiments;
 use gsdram_bench::listing;
+use gsdram_bench::perf;
 use gsdram_bench::spec::{MachineSpec, RunSpec, WorkloadSpec};
 use gsdram_core::stats::ReportStats;
 use gsdram_patterns::{builtin, PatternLayout, PatternSpec, BUILTIN_NAMES};
@@ -402,11 +409,58 @@ fn pattern_cmd(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `gsdram-sim perf`: measure the registry's simulator throughput
+/// and write the report, or `perf check <path>`: validate one.
+fn perf_cmd(args: &Args) -> ExitCode {
+    if args.positional_at(1) == Some("check") {
+        let Some(path) = args.positional_at(2) else {
+            eprintln!("usage: gsdram-sim perf check <path>");
+            return ExitCode::FAILURE;
+        };
+        let text = match std::fs::read_to_string(path) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("error: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        return match perf::check(&text) {
+            Ok(()) => {
+                println!("{path}: ok");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    if let Some(other) = args.positional_at(1) {
+        eprintln!("error: unknown perf subcommand '{other}'");
+        eprintln!("usage: gsdram-sim perf [--quick] [--out PATH] | perf check <path>");
+        return ExitCode::FAILURE;
+    }
+    let text = perf::run(args);
+    let path = args
+        .value("--out")
+        .unwrap_or_else(|| perf::DEFAULT_OUT.to_string());
+    if let Err(e) = std::fs::write(&path, &text) {
+        eprintln!("error: cannot write {path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {path}");
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args = Args::from_env();
+    if let Err(e) = args.check_known() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let Some(workload) = args.positional().map(str::to_owned) else {
         eprintln!(
-            "usage: gsdram-sim <transactions|analytics|htap|gemm|kvstore|graph|replay|pattern|sweep|trace> [options]"
+            "usage: gsdram-sim <transactions|analytics|htap|gemm|kvstore|graph|replay|pattern|sweep|trace|perf> [options]"
         );
         eprintln!("run with a workload name; see crate docs for options");
         return ExitCode::FAILURE;
@@ -420,12 +474,15 @@ fn main() -> ExitCode {
     if workload == "pattern" {
         return pattern_cmd(&args);
     }
+    if workload == "perf" {
+        return perf_cmd(&args);
+    }
     let tuples = args.u64("--tuples", 65_536);
     let seed = args.u64("--seed", 42);
     let mem = (tuples as usize * 64 * 2).max(16 << 20);
     // The one machine-flag parser shared with the experiment engine
     // (--prefetch, --impulse, --fcfs, --sched, --mapping, --timing,
-    // --closed-row, --ranks, --channels, --shard). Parsed once up
+    // --closed-row, --ranks, --channels). Parsed once up
     // front so a bad flag fails before any workload builds memory;
     // each workload then patches in its core count and memory size.
     let parsed = match MachineSpec::table1(1, mem).with_args(&args) {

@@ -1,56 +1,37 @@
 //! Sharded per-channel controller advance.
 //!
-//! ROADMAP item 2's payoff: once a machine has N independent channel
-//! controllers, advancing them to a common horizon is embarrassingly
-//! parallel — controllers share no state, each one's event stream is
-//! fully determined by its own queues, and the caller merges results
-//! *after* every controller has reached the horizon. That makes the
-//! sharded advance bit-identical to the serial loop by construction:
-//! there is no cross-thread communication to order, only a fork at a
-//! common start time and a join at a common horizon (the same
-//! `Horizon`/next-event contract the time-skip engine already
-//! guarantees per controller).
+//! Once a machine has N independent channel controllers, advancing
+//! them to a common horizon is embarrassingly parallel — controllers
+//! share no state, each one's event stream is fully determined by its
+//! own queues, and the caller merges results *after* every controller
+//! has reached the horizon. That makes the sharded advance
+//! bit-identical to the serial loop by construction: there is no
+//! cross-thread communication to order, only a fork at a common start
+//! time and a join at a common horizon (the same `Horizon`/next-event
+//! contract the time-skip engine already guarantees per controller).
 //!
 //! Observation is the one thing that cannot shard: an attached
 //! [`EventHub`] is a single mutable event sink with a global order, so
-//! callers must only take this path when no observer is attached
-//! (each shard gets a private detached hub, which drops events for
-//! free). The bridge enforces that gate; see
-//! `gsdram_system::bridge`.
+//! both functions here advance under private detached hubs and drop
+//! every event.
 //!
-//! This module is the second sanctioned D8 site after the bench
-//! sweep runner, and carries the same proof obligation: a
-//! sharded ≡ serial byte-diff (here `sharded_matches_serial_advance`,
-//! at machine scope `bench/tests/engine.rs`).
+//! The machine itself always advances its channels serially (a
+//! per-op memory sync never spans enough work to pay for a thread);
+//! these functions are driven directly on bare controllers by
+//! simbench's `dram_saturate` drain. This module is the second
+//! sanctioned D8 site after the bench sweep runner, and carries the
+//! same proof obligation: a sharded ≡ serial state diff
+//! (`sharded_matches_serial_advance` here, and the equal-end-state
+//! check in simbench's drain).
 
 use crate::controller::MemController;
 use crate::timing::Cycles;
 use gsdram_core::port::EventHub;
 
-/// Minimum advance span (memory cycles) for which forking threads can
-/// beat the serial loop: below this, spawn/join overhead dominates the
-/// handful of commands each controller would issue. Callers gate on
-/// [`worth_sharding`], which bakes this in.
-pub const MIN_SPAN: Cycles = 4096;
-
-/// True when a sharded advance of `ctls` to `to` can plausibly beat
-/// the serial loop: at least two controllers have real work in the
-/// span (a quiescent controller just leaps its clock, which is not
-/// worth a thread).
-pub fn worth_sharding(ctls: &[MemController], to: Cycles) -> bool {
-    if ctls.len() < 2 {
-        return false;
-    }
-    let busy = ctls
-        .iter()
-        .filter(|c| !c.quiescent_until(to) && to.saturating_sub(c.now()) >= MIN_SPAN)
-        .count();
-    busy >= 2
-}
-
 /// Advances every controller to `to` on the calling thread, events
 /// dropped — the serial twin of [`advance_sharded`], used by the
-/// determinism proofs and by callers that fail the shard gate.
+/// determinism proofs and as the baseline a sharded drain is timed
+/// against.
 pub fn advance_serial(ctls: &mut [MemController], to: Cycles) {
     let mut hub = EventHub::new();
     for c in ctls.iter_mut() {
@@ -60,15 +41,14 @@ pub fn advance_serial(ctls: &mut [MemController], to: Cycles) {
 
 /// Advances every controller to `to`, one thread per non-quiescent
 /// controller, quiescent ones leapt on the calling thread. Events are
-/// dropped (each shard advances under a private detached hub), so
-/// callers must not take this path while an observer is attached.
+/// dropped (each shard advances under a private detached hub).
 ///
 /// Equivalent to [`advance_serial`] state-for-state: controllers are
 /// disjoint, each advance is deterministic given its own queues, and
 /// the scope joins every shard before returning.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the channel-shard site: disjoint controllers fork at a common start and join at a common horizon, no shared state, proven bit-identical to the serial loop in this module's tests and bench/tests/engine.rs"
+    reason = "the channel-shard site: disjoint controllers fork at a common start and join at a common horizon, no shared state, proven bit-identical to the serial loop in this module's tests and simbench's dram_saturate drain"
 )]
 pub fn advance_sharded(ctls: &mut [MemController], to: Cycles) {
     std::thread::scope(|scope| {
@@ -171,7 +151,10 @@ mod tests {
             let horizon = 400_000u64;
             let mut serial = loaded_controllers(channels, 600, 7);
             let mut sharded = loaded_controllers(channels, 600, 7);
-            assert!(worth_sharding(&serial, horizon));
+            // At least two controllers have work left before the
+            // horizon, so the sharded run really forks threads.
+            let busy = serial.iter().filter(|c| !c.quiescent_until(horizon));
+            assert!(busy.count() >= 2, "{channels} channels");
             advance_serial(&mut serial, horizon);
             advance_sharded(&mut sharded, horizon);
             assert_eq!(
@@ -193,23 +176,5 @@ mod tests {
             snapshot(&mut ctls)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn shard_gate_requires_two_busy_controllers() {
-        // Below MIN_SPAN nothing is worth a thread.
-        let idle: Vec<MemController> = (0..4)
-            .map(|_| MemController::new(ControllerConfig::default()))
-            .collect();
-        assert!(!worth_sharding(&idle, 10));
-        // One busy controller is not enough either.
-        let mut one = loaded_controllers(1, 64, 3);
-        assert!(!worth_sharding(&one, 400_000));
-        advance_serial(&mut one, 400_000);
-        // Two busy controllers over a long span: shard.
-        let two = loaded_controllers(2, 256, 3);
-        assert!(worth_sharding(&two, 400_000));
-        // ... but not over a span shorter than MIN_SPAN.
-        assert!(!worth_sharding(&two, MIN_SPAN / 2));
     }
 }

@@ -37,7 +37,6 @@ use gsdram_dram::controller::{
 };
 use gsdram_dram::energy::EnergyBreakdown;
 use gsdram_dram::mapping::AddressMap;
-use gsdram_dram::shard;
 use gsdram_telemetry::Histogram;
 
 use crate::config::{GatherSupport, SystemConfig};
@@ -60,7 +59,6 @@ pub(crate) struct Waiter {
 struct Outstanding {
     key: LineKey,
     shuffled: bool,
-    demand: bool,
     waiters: Vec<Waiter>,
     /// Sub-requests still in flight (1 for GS-DRAM; the number of
     /// covered lines for an Impulse gather).
@@ -77,9 +75,6 @@ pub(crate) struct FetchDone {
     pub(crate) key: LineKey,
     /// Whether the line travelled the shuffle datapath.
     pub(crate) shuffled: bool,
-    /// Whether a demand access (vs only a prefetch) requested it.
-    #[expect(dead_code, reason = "kept for Debug output; no consumer reads it yet")]
-    pub(crate) demand: bool,
     /// Cores to wake and requests to finish.
     pub(crate) waiters: Vec<Waiter>,
     /// Completion time of the slowest sub-request (mem cycles).
@@ -376,7 +371,6 @@ impl DramBridge {
         &mut self,
         key: LineKey,
         shuffled: bool,
-        demand: bool,
         waiters: Vec<Waiter>,
         at_cpu: u64,
         events: &mut EventHub,
@@ -398,7 +392,6 @@ impl DramBridge {
             Outstanding {
                 key,
                 shuffled,
-                demand,
                 waiters,
                 remaining: subs.len(),
                 done_at: 0,
@@ -436,8 +429,8 @@ impl DramBridge {
         self.by_key.contains_key(&key)
     }
 
-    /// Attaches `waiter` to an in-flight fetch of `key` (promoting it
-    /// to a demand fetch). Returns `false` if none is in flight.
+    /// Attaches `waiter` to an in-flight fetch of `key`. Returns
+    /// `false` if none is in flight.
     pub(crate) fn attach_waiter(&mut self, key: LineKey, waiter: Waiter) -> bool {
         let Some(&id) = self.by_key.get(&key) else {
             return false;
@@ -447,24 +440,14 @@ impl DramBridge {
             reason = "by_key and outstanding are inserted/removed together"
         )]
         let out = self.outstanding.get_mut(&id).expect("tracked");
-        out.demand = true;
         out.waiters.push(waiter);
         true
     }
 
-    /// Advances every channel to `t_mem`. When `shard_ok` is set, no
-    /// observer is attached, and the span carries enough work to
-    /// amortise thread spawn, the channels advance on one thread each
-    /// ([`shard::advance_sharded`]); the serial loop runs otherwise.
-    /// Controllers are disjoint, so the two paths are bit-identical —
-    /// the shard gate is purely a wall-clock decision.
-    pub(crate) fn advance_all(&mut self, t_mem: u64, shard_ok: bool, events: &mut EventHub) {
-        if shard_ok && !events.is_attached() && shard::worth_sharding(&self.controllers, t_mem) {
-            shard::advance_sharded(&mut self.controllers, t_mem);
-        } else {
-            for c in &mut self.controllers {
-                c.advance_observed(t_mem, events);
-            }
+    /// Advances every channel to `t_mem`.
+    pub(crate) fn advance_all(&mut self, t_mem: u64, events: &mut EventHub) {
+        for c in &mut self.controllers {
+            c.advance_observed(t_mem, events);
         }
     }
 
@@ -541,7 +524,6 @@ impl DramBridge {
         Some(FetchDone {
             key: out.key,
             shuffled: out.shuffled,
-            demand: out.demand,
             waiters: out.waiters,
             done_at: out.done_at,
         })
@@ -666,13 +648,11 @@ impl Machine {
             self.bridge.leap_to(t_mem, &mut self.events);
             return;
         }
-        // Advance every channel to the horizon first — the controllers
-        // are independent, so this is where the sharded advance slots
-        // in — then drain and deliver per channel. Delivery can
-        // enqueue fresh writebacks; those land at or after `t_mem` and
-        // are processed by the next sync, on every path identically.
-        self.bridge
-            .advance_all(t_mem, self.cfg.shard, &mut self.events);
+        // Advance every channel to the horizon first, then drain and
+        // deliver per channel. Delivery can enqueue fresh writebacks;
+        // those land at or after `t_mem` and are processed by the next
+        // sync, on every path identically.
+        self.bridge.advance_all(t_mem, &mut self.events);
         let mut comps = std::mem::take(&mut self.comp_buf);
         for ch in 0..self.bridge.channels() {
             comps.clear();

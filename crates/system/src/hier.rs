@@ -229,7 +229,7 @@ impl Machine {
             self.flush_overlaps_before_fetch(key, at_cpu);
             let shuffled = self.pages.info(key.addr).shuffle;
             self.bridge
-                .enqueue_fetch(key, shuffled, false, Vec::new(), at_cpu, &mut self.events);
+                .enqueue_fetch(key, shuffled, Vec::new(), at_cpu, &mut self.events);
         }
     }
 
@@ -359,14 +359,8 @@ impl Machine {
             return None;
         }
         self.flush_overlaps_before_fetch(key, miss_time);
-        self.bridge.enqueue_fetch(
-            key,
-            info.shuffle,
-            true,
-            vec![waiter],
-            miss_time,
-            &mut self.events,
-        );
+        self.bridge
+            .enqueue_fetch(key, info.shuffle, vec![waiter], miss_time, &mut self.events);
         None
     }
 }

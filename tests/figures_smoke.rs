@@ -1,6 +1,6 @@
 //! Small-scale smoke tests asserting the *shape* of every paper figure
-//! (the full-scale numbers come from the `gsdram-bench` binaries; see
-//! EXPERIMENTS.md).
+//! (the full-scale numbers come from `gsdram-sim sweep <experiment>`
+//! and `./run_experiments.sh`; see EXPERIMENTS.md).
 
 use gsdram::system::config::SystemConfig;
 use gsdram::system::machine::{Machine, StopWhen};
